@@ -1,6 +1,7 @@
 """Critical values, the randomized decision rule, and Monte-Carlo power.
 
-The Monte-Carlo engine is built on numpy's counter-based Philox generator:
+The Monte-Carlo engine is built on numpy's counter-based Philox generator
+(imported on first use, so the exact paths never load numpy):
 a (seed, stream) pair plus a purpose/block counter prefix fully determines
 every draw, replicate blocks are independent of execution order, and the
 accumulators are integer counts, so results are bit-identical across runs
@@ -12,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
 from .null_dist import null_distribution
 from .statistics import Sample
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SeededRng",
@@ -35,6 +37,8 @@ __all__ = [
 
 _U64 = 2**64
 _BLOCK = 8192
+# approximate bytes of sorted copies and comparison temporaries per row chunk
+_CHUNK_BYTES = 4 * 2**20
 
 # purpose codes keep the power-sampling and null-calibration draw streams
 # disjoint for a given (seed, stream)
@@ -71,6 +75,8 @@ class SeededRng:
         Blocks are spaced 2^64 counter steps apart, far beyond any block's
         consumption, so they never overlap.
         """
+        import numpy as np
+
         bit_generator = np.random.Philox(
             key=np.array([self.seed, self.stream], dtype=np.uint64),
             counter=np.array([0, block, purpose, 0], dtype=np.uint64),
@@ -261,33 +267,37 @@ def _draw_block(
     generator: np.random.Generator,
     null: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One block of sample pairs; under `null` both groups share the baseline."""
+    """One block of sample pairs; under `null` both groups share the baseline.
+
+    The varied group is transformed in place: the same values as a
+    transformed copy, without a block-sized temporary.
+    """
     if alt.kind == "lehmann":
         x = generator.random((rows, m))
         y = generator.random((rows, n))
         if not null:
             exponent = 1.0 / alt.gamma
             if alt.varied == "test":
-                y = y**exponent
+                y **= exponent
             else:
-                x = x**exponent
+                x **= exponent
     elif alt.kind == "exponential":
         x = generator.exponential(1.0, (rows, m))
         y = generator.exponential(1.0, (rows, n))
         if not null:
             scale = 1.0 / alt.rate
             if alt.varied == "test":
-                y = y * scale
+                y *= scale
             else:
-                x = x * scale
+                x *= scale
     else:  # weibull
         x = generator.weibull(alt.shape, (rows, m))
         y = generator.weibull(alt.shape, (rows, n))
         if not null:
             if alt.varied == "test":
-                y = y * alt.scale
+                y *= alt.scale
             else:
-                x = x * alt.scale
+                x *= alt.scale
     return x, y
 
 
@@ -307,7 +317,29 @@ def sample_pair(
 def _block_statistics(
     x: np.ndarray, y: np.ndarray, r: int, s: int, statistic: str
 ) -> np.ndarray:
-    """Vectorized statistic over a block of sample pairs (rows)."""
+    """Vectorized statistic over a block of sample pairs (rows).
+
+    Rows are processed in chunks so that the sorted copies and comparison
+    temporaries stay near _CHUNK_BYTES however large the samples grow.
+    """
+    import numpy as np
+
+    m, n = x.shape[1], y.shape[1]
+    step = max(1, _CHUNK_BYTES // (8 * (m + n) + (r + s) * m))
+    return np.concatenate(
+        [
+            _chunk_statistics(x[lo : lo + step], y[lo : lo + step], r, s, statistic)
+            for lo in range(0, x.shape[0], step)
+        ]
+    )
+
+
+def _chunk_statistics(
+    x: np.ndarray, y: np.ndarray, r: int, s: int, statistic: str
+) -> np.ndarray:
+    """The statistic of every row of one chunk, all rows at once."""
+    import numpy as np
+
     n = y.shape[1]
     m = x.shape[1]
     xs = np.sort(x, axis=1)
@@ -386,6 +418,8 @@ def _mc_calibrate(
     rng: SeededRng,
 ) -> tuple[int, float, float]:
     """Empirical critical value and attained tail masses under the null."""
+    import numpy as np
+
     top = m + (n if statistic == "V" else 0)
     counts = np.zeros(top + 2, dtype=np.int64)
     done = 0

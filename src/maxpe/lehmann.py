@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-import mpmath
-
 from .combinatorics import LogReal, binomial, log_beta, signed_log_sum
 from .errors import BudgetExceededError, ParameterError
 from .statistics import FrequencyVector
@@ -141,7 +139,13 @@ def _log_exceedance_chain(
 def _alternating_sum_fallback(
     n1: int, remaining: int, q: int, r: int, gamma: float
 ) -> LogReal:
-    """Re-evaluate the alternating Beta sum at 40 significant digits."""
+    """Re-evaluate the alternating Beta sum at 40 significant digits.
+
+    mpmath is imported here, on first use, so that runs which never need the
+    fallback never pay for loading it.
+    """
+    import mpmath
+
     with mpmath.workdps(_FALLBACK_DPS):
         g = mpmath.mpf(gamma)
         total = mpmath.mpf(0)

@@ -2,7 +2,8 @@
 
 All null probabilities are ratios of integer counts, so everything here is
 computed in exact rational arithmetic: a distribution's pmf entries share
-the denominator C(m+n, n) and are returned as Fractions. A brute-force
+the denominator C(m+n, n) and are returned as Fractions. One convolution
+kernel serves the full, truncated and large-sample laws. A brute-force
 enumeration over sample interleavings doubles as the validation oracle for
 the composition-count formula.
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
 from .combinatorics import binomial, exact_max_composition_count
@@ -26,9 +29,11 @@ __all__ = [
     "brute_force_null_distribution",
     "asymptotic_null_cdf",
     "BRUTE_FORCE_LIMIT",
+    "WORK_BUDGET",
 ]
 
 BRUTE_FORCE_LIMIT = 10**7
+WORK_BUDGET = 10**8  # null-kernel steps: side-table entries plus multiply-adds
 
 
 @dataclass(frozen=True)
@@ -113,23 +118,65 @@ def joint_frequency_pmf_null(fv: FrequencyVector) -> Fraction:
     )
 
 
-def _joint_pe_numerator(m: int, n: int, r: int, s: int, i: int, j: int) -> int:
-    """Numerator of P[max precedence = i, max exceedance = j] over C(m+n, n)."""
-    free = n - r - s
-    num = 0
-    for total in range(0, min(m, r * i + s * j) + 1):
-        lo = max(0, total - s * j)
-        hi = min(total, r * i)
-        conv = 0
-        for n1 in range(lo, hi + 1):
-            wp = exact_max_composition_count(n1, r, i)
-            if wp:
-                we = exact_max_composition_count(total - n1, s, j)
-                if we:
-                    conv += wp * we
-        if conv:
-            num += conv * binomial(m - total + free, free)
+def _side_row(boxes: int, peak: int, length: int) -> list[int]:
+    """W_boxes[peak][k] of _kernel for k = peak..min(boxes * peak, length)."""
+    top = min(boxes * peak, length)
+    return [exact_max_composition_count(k, boxes, peak) for k in range(peak, top + 1)]
+
+
+def _series(lo: int, hi: int) -> int:
+    """lo + (lo + 1) + ... + hi, 0 for an empty range."""
+    return (lo + hi) * (hi - lo + 1) // 2 if hi >= lo else 0
+
+
+_Cells = list[tuple[int, int, int]]
+
+
+def _kernel(r: int, s: int, weights: list[int], cells: _Cells) -> list[int]:
+    """num[t], the sum of the cells (i, j) with i + j = t.
+
+    (j, i_lo, i_hi) in `cells` stands for the cells (i, j), i_lo <= i <= i_hi,
+    with i + j <= K = len(weights) - 1. Cell (i, j) sums W_r[i][k1] * H_j[k1],
+    H_j[k1] = sum W_s[j][k2] * weights[k1 + k2], over k1 + k2 <= K; W_b[p][k]
+    counts ordered b-tuples summing to k with largest part p. H_j is formed
+    once per j and shared by every i, so i + j <= t costs O(t * K^2) steps.
+    Raises BudgetExceededError, before any work, above WORK_BUDGET steps.
+    """
+    length = len(weights) - 1
+    i_rows = range(min(c[1] for c in cells), max(c[2] for c in cells) + 1)
+    steps = sum(min(r * i, length) - i + 1 for i in i_rows)
+    for j, i_lo, i_hi in cells:
+        top = min(s * j, length)
+        # W_s[j], then H_j: each k2 in [j, top] meets length - k2 + 1 values of k1
+        steps += top - j + 1 + _series(length - top + 1, length - j + 1)
+        # cell (i, j) runs k1 over [i, min(r * i, length - j)]
+        split = min(i_hi, (length - j) // r)
+        steps += (r - 1) * _series(i_lo, split) + max(0, split - i_lo + 1)
+        steps += _series(length - j - i_hi + 1, length - j - max(i_lo, split + 1) + 1)
+    if steps > WORK_BUDGET:
+        raise BudgetExceededError(f"{steps} null-kernel steps exceed {WORK_BUDGET}")
+
+    w_r = {i: _side_row(r, i, length) for i in i_rows}
+    num = [0] * (max(j + i_hi for j, _, i_hi in cells) + 1)
+    for j, i_lo, i_hi in cells:
+        w_s = _side_row(s, j, length)
+        h_j = [
+            sum(map(mul, w_s, weights[k1 + j : k1 + j + len(w_s)]))
+            for k1 in range(length - j + 1)
+        ]
+        for i in range(i_lo, i_hi + 1):
+            num[i + j] += sum(map(mul, w_r[i], h_j[i : r * i + 1]))
     return num
+
+
+def _exact_pmf(m: int, n: int, r: int, s: int, cells: _Cells) -> list[Fraction]:
+    """Null probability of each diagonal i + j = t, summed over `cells`."""
+    free = n - r - s
+    weights = [1] * (m + 1)  # C(m - k + free, free), each from its right neighbour
+    for k in range(m, 0, -1):
+        weights[k - 1] = weights[k] * (m - k + 1 + free) // (m - k + 1)
+    den = binomial(m + n, n)
+    return [Fraction(v, den) for v in _kernel(r, s, weights, cells)]
 
 
 def joint_PE_pmf(m: int, n: int, r: int, s: int, i: int, j: int) -> Fraction:
@@ -137,29 +184,28 @@ def joint_PE_pmf(m: int, n: int, r: int, s: int, i: int, j: int) -> Fraction:
     _validate_params(m, n, r, s)
     if not (0 <= i <= m and 0 <= j <= m):
         raise ParameterError(f"cell maxima must lie in 0..m, got ({i}, {j})")
-    return Fraction(_joint_pe_numerator(m, n, r, s, i, j), binomial(m + n, n))
+    if i + j > m:
+        return Fraction(0)
+    return _exact_pmf(m, n, r, s, [(j, i, i)])[i + j]
 
 
+@lru_cache(maxsize=32)
 def null_distribution(
     m: int, n: int, r: int, s: int, t_max: Optional[int] = None
 ) -> NullDistribution:
-    """Exact null pmf/cdf of the statistic.
+    """Exact null pmf/cdf of the statistic, cached per (m, n, r, s, t_max).
 
-    With t_max the tables are truncated to {0..t_max}; this keeps large
-    (m, n) affordable when only low quantiles are needed.
+    P[T = t] adds the joint (max precedence, max exceedance) cells with
+    i + j = t from the shared kernel: O(m^3) big-integer multiply-adds for
+    the full table, O(t_max * m^2) truncated to {0..t_max}. Raises
+    BudgetExceededError above WORK_BUDGET kernel steps.
     """
     _validate_params(m, n, r, s)
     top = m if t_max is None else min(t_max, m)
     if top < 0:
         raise ParameterError("t_max must be non-negative")
-    den = binomial(m + n, n)
-    pmf = []
-    for t in range(top + 1):
-        num = sum(_joint_pe_numerator(m, n, r, s, i, t - i) for i in range(t + 1))
-        pmf.append(Fraction(num, den))
-    return NullDistribution(
-        m=m, n=n, r=r, s=s, pmf_values=tuple(pmf), complete=(top == m)
-    )
+    pmf = _exact_pmf(m, n, r, s, [(j, 0, top - j) for j in range(top + 1)])
+    return NullDistribution(m=m, n=n, r=r, s=s, pmf_values=tuple(pmf), complete=top == m)
 
 
 def brute_force_null_distribution(m: int, n: int, r: int, s: int) -> NullDistribution:
@@ -188,9 +234,10 @@ def brute_force_null_distribution(m: int, n: int, r: int, s: int) -> NullDistrib
 def asymptotic_null_cdf(r: int, s: int, t: int, n_max: int = 40) -> float:
     """Large-sample (equal group sizes) approximation to the null cdf.
 
-    Replaces the exact ordering-count ratio with its limit (1/2)^(total+r+s).
-    n_max caps the total-count summation; the default leaves tail mass below
-    1e-12. Non-decreasing in t by construction.
+    Replaces the exact ordering-count ratio with its limit (1/2)^(total+r+s)
+    and caps the cell total at n_max (the default leaves tail mass below
+    1e-12). The exact kernel with integer weights 2^(n_max - total) makes it
+    O(min(t, n_max) * n_max^2) steps, correctly rounded, non-decreasing in t.
     """
     if r < 1 or s < 1:
         raise ParameterError("r and s must be positive")
@@ -198,20 +245,7 @@ def asymptotic_null_cdf(r: int, s: int, t: int, n_max: int = 40) -> float:
         raise ParameterError("n_max must be non-negative")
     if t < 0:
         return 0.0
-    acc = 0.0
-    for k in range(t + 1):
-        for i in range(k + 1):
-            j = k - i
-            for total in range(0, min(n_max, r * i + s * j) + 1):
-                lo = max(0, total - s * j)
-                hi = min(total, r * i)
-                conv = 0
-                for n1 in range(lo, hi + 1):
-                    wp = exact_max_composition_count(n1, r, i)
-                    if wp:
-                        we = exact_max_composition_count(total - n1, s, j)
-                        if we:
-                            conv += wp * we
-                if conv:
-                    acc += conv * 0.5 ** (total + r + s)
-    return acc
+    top = min(t, n_max)
+    weights = [2 ** (n_max - k) for k in range(n_max + 1)]
+    num = _kernel(r, s, weights, [(j, 0, top - j) for j in range(top + 1)])
+    return sum(num) / 2 ** (n_max + r + s)

@@ -113,6 +113,17 @@ class TestTestCommand:
         )
         assert code == 3
 
+    def test_large_samples_exit_4(self, tmp_path, capsys):
+        training = tmp_path / "training.txt"
+        training.write_text("".join(f"{2 * k}\n" for k in range(2000)))
+        test = tmp_path / "test.txt"
+        test.write_text("".join(f"{2 * k + 1}\n" for k in range(2000)))
+        code = main(
+            ["test", "--training", str(training), "--test", str(test), "--r", "3", "--s", "3"]
+        )
+        assert code == 4
+        assert "budget error" in capsys.readouterr().err
+
     def test_missing_column_selector_exits_2(self, data_dir):
         code = main(
             [

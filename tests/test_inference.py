@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from maxpe import inference
 from maxpe.errors import ParameterError
 from maxpe.inference import (
     AlternativeSpec,
@@ -230,6 +231,16 @@ class TestBlockStatisticsAgainstScalar:
                 "Q": bundle.max_precedence,
             }[statistic]
             assert block[row] == expected
+
+    @pytest.mark.parametrize("statistic", ["T", "V", "Q"])
+    def test_row_chunks_match_one_pass(self, statistic, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 8, size=(300, 12)).astype(float)
+        y = rng.integers(0, 8, size=(300, 12)).astype(float)
+        whole = _block_statistics(x, y, 3, 3, statistic)
+        # 2000 bytes make uneven chunks of 7 rows at m = n = 12, r = s = 3
+        monkeypatch.setattr(inference, "_CHUNK_BYTES", 2000)
+        assert np.array_equal(_block_statistics(x, y, 3, 3, statistic), whole)
 
     def test_unequal_sizes(self):
         rng = np.random.default_rng(5)

@@ -1,0 +1,123 @@
+"""The shared null kernel against the direct formula, its work budget and cache."""
+
+import operator
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import null_oracle
+from maxpe import null_dist
+from maxpe.errors import BudgetExceededError
+from maxpe.inference import critical_value
+from maxpe.null_dist import asymptotic_null_cdf, joint_PE_pmf, null_distribution
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("m,n,r,s", [(30, 34, 4, 2), (25, 30, 3, 4), (12, 9, 1, 5)])
+def test_tables_equal_direct_formula(m, n, r, s):
+    assert null_distribution(m, n, r, s).pmf_values == null_oracle.null_pmf(m, n, r, s)
+    for t_max in (0, 4, 9):
+        part = null_distribution(m, n, r, s, t_max=t_max)
+        assert part.pmf_values == null_oracle.null_pmf(m, n, r, s, t_max)
+
+
+@pytest.mark.parametrize("m,n,r,s", [(9, 11, 2, 3), (7, 7, 4, 1)])
+def test_joint_cells_equal_direct_formula(m, n, r, s):
+    for i in range(m + 1):
+        for j in range(m + 1):
+            assert joint_PE_pmf(m, n, r, s, i, j) == null_oracle.joint_cell(m, n, r, s, i, j)
+
+
+def test_large_critical_value():
+    start = time.perf_counter()
+    assert critical_value(100, 100, 10, 10, 0.05).c == 13
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("r,s", [(1, 1), (2, 2), (2, 3), (4, 1), (5, 5)])
+def test_asymptotic_matches_direct_accumulation(r, s):
+    for t in (0, 1, 3, 7, 12, 20, 45):
+        for n_max in (0, 6, 40):
+            expected = null_oracle.asymptotic_cdf(r, s, t, n_max)
+            assert asymptotic_null_cdf(r, s, t, n_max) == pytest.approx(expected, rel=1e-14)
+
+
+def _counted_steps(r, s, weights, cells, monkeypatch):
+    """Multiply-adds and side-table entries the kernel actually performs."""
+    count = [0]
+
+    def counting(fn):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(null_dist, "WORK_BUDGET", 10**9)
+        patch.setattr(null_dist, "mul", counting(operator.mul))
+        patch.setattr(
+            null_dist, "exact_max_composition_count",
+            counting(null_dist.exact_max_composition_count),
+        )
+        null_dist._kernel(r, s, weights, cells)
+    return count[0]
+
+
+@pytest.mark.parametrize("r,s,length", [(1, 1, 9), (2, 3, 12), (4, 4, 20), (5, 2, 11)])
+def test_budget_counts_the_work_done(r, s, length, monkeypatch):
+    weights = [1] * (length + 1)
+    grids = [[(j, 0, top - j) for j in range(top + 1)] for top in (length, length // 2, 0)]
+    grids += [[(2, 3, 3)], [(0, length, length)], [(length, 0, 0)]]
+    for cells in grids:
+        steps = _counted_steps(r, s, weights, cells, monkeypatch)
+        monkeypatch.setattr(null_dist, "WORK_BUDGET", steps)
+        null_dist._kernel(r, s, weights, cells)
+        monkeypatch.setattr(null_dist, "WORK_BUDGET", steps - 1)
+        with pytest.raises(BudgetExceededError):
+            null_dist._kernel(r, s, weights, cells)
+
+
+def test_budget_refuses_before_working():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        null_distribution(2000, 2000, 3, 3)
+    assert time.perf_counter() - start < 2
+
+
+def test_budget_admits_the_largest_tables_in_use():
+    null_distribution(200, 200, 2, 2, t_max=10)
+    null_distribution(100, 100, 10, 10)
+    null_distribution(38, 38, 19, 19)
+
+
+def test_tables_are_cached_and_bounded():
+    first = null_distribution(17, 19, 2, 3)
+    assert null_distribution(17, 19, 2, 3) is first
+    assert null_distribution.cache_info().maxsize <= 64
+
+
+def test_exact_paths_load_neither_numpy_nor_mpmath(tmp_path, data_dir):
+    script = (
+        "import sys, maxpe, maxpe.cli\n"
+        "assert maxpe.cli.main(['null-dist', '--m', '8', '--n', '8', '--r', '1', '--s', '1',"
+        " '--out', sys.argv[1] + '/n.csv']) == 0\n"
+        "assert maxpe.cli.main(['critical-values', '--m', '10', '--n', '10',"
+        " '--rho', '0.1', '--out', sys.argv[1] + '/c.csv']) == 0\n"
+        "assert maxpe.cli.main(['test', '--training', sys.argv[2] + '/type1.txt',"
+        " '--test', sys.argv[2] + '/type2.txt', '--r', '3', '--s', '3',"
+        " '--out', sys.argv[1] + '/t.csv']) == 0\n"
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), str(data_dir)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
