@@ -14,7 +14,7 @@ from .combinatorics import (
     exact_max_composition_count,
     log_beta,
 )
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, NumericalError, ParameterError
 from .inference import (
     AlternativeSpec,
     CriticalValue,
@@ -60,6 +60,7 @@ __all__ = [
     "FrequencyVector",
     "LogReal",
     "NullDistribution",
+    "NumericalError",
     "ParameterError",
     "PowerEstimate",
     "RandomizedDecision",

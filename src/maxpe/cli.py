@@ -2,7 +2,7 @@
 critical values, and power estimates.
 
 Exit codes: 0 success, 2 malformed input, 3 parameter/constraint violation,
-4 exact-computation budget exceeded.
+4 exact-computation budget exceeded, 5 a result failed its numerical checks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import BudgetExceededError, NumericalError, ParameterError
 from .inference import (
     AlternativeSpec,
     SeededRng,
@@ -34,6 +34,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PARAMETER = 3
 EXIT_BUDGET = 4
+EXIT_NUMERICAL = 5
 
 
 class InputFormatError(ValueError):
@@ -345,15 +346,19 @@ def _power_rows(args, statistics: list[str]) -> list[dict]:
     if args.method == "exact":
         if statistics != ["T"]:
             raise ParameterError("exact power is available for the T statistic only")
+        if any(alt.kind != "lehmann" for alt in alternatives):
+            raise ParameterError(
+                "exact power is available under the Lehmann alternative only"
+            )
         rows = []
         for r, s in pairs:
+            # exact_power refuses an over-budget Lehmann law before the null table
+            powers = [
+                exact_power(args.m, args.n, r, s, alt.gamma, args.alpha)
+                for alt in alternatives
+            ]
             crit = critical_value(args.m, args.n, r, s, args.alpha)
-            for alt in alternatives:
-                if alt.kind != "lehmann":
-                    raise ParameterError(
-                        "exact power is available under the Lehmann alternative only"
-                    )
-                power = exact_power(args.m, args.n, r, s, alt.gamma, args.alpha)
+            for alt, power in zip(alternatives, powers):
                 rows.append(
                     {
                         "m": args.m,
@@ -556,6 +561,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

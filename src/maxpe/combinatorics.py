@@ -88,7 +88,8 @@ def log_beta(a: float, b: float) -> float:
     )
 
 
-@lru_cache(maxsize=None)
+# 4096 entries hold one null table's working set, 2 (m + 1)^2, up to m = 44
+@lru_cache(maxsize=4096)
 def bounded_composition_count(total: int, boxes: int, cap: int) -> int:
     """Ordered tuples of `boxes` non-negative integers summing to `total`
     with every part at most `cap`.

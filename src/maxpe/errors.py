@@ -7,3 +7,7 @@ class ParameterError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """An exact computation would exceed its configured work budget."""
+
+
+class NumericalError(ArithmeticError):
+    """A computed result failed its numerical checks."""

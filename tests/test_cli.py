@@ -1,11 +1,14 @@
 import csv
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from maxpe import cli
 from maxpe.cli import fraction_to_decimal, main
+from maxpe.errors import NumericalError
 
 
 def _read_csv(path):
@@ -262,12 +265,36 @@ class TestPowerCommand:
         rows = _read_csv(curves / "curve_T_r1_s1.csv")
         assert [float(row["param"]) for row in rows] == [2.0, 5.0]
 
-    def test_exact_budget_exits_4(self):
+    def test_exact_budget_exits_4(self, capsys):
+        start = time.perf_counter()
         code = main(
-            ["power", "--m", "25", "--n", "25", "--r", "4", "--s", "4",
+            ["power", "--m", "400", "--n", "400", "--r", "40", "--s", "40",
              "--gamma", "2", "--method", "exact"]
         )
         assert code == 4
+        assert "budget error" in capsys.readouterr().err
+        assert time.perf_counter() - start < 1.0  # refused before the null table
+
+    def test_exact_four_cells_each_side_runs(self, tmp_path):
+        out = tmp_path / "power.csv"
+        code = main(
+            ["power", "--m", "20", "--n", "20", "--r", "4", "--s", "4",
+             "--gamma", "2", "--method", "exact", "--out", str(out)]
+        )
+        assert code == 0
+        assert 0.05 < float(_read_csv(out)[0]["power"]) < 1.0
+
+    def test_numerical_error_exits_5(self, monkeypatch, capsys):
+        def fail(*args):
+            raise NumericalError("pmf sums to 1.1")
+
+        monkeypatch.setattr(cli, "exact_power", fail)
+        code = main(
+            ["power", "--m", "8", "--n", "8", "--r", "1", "--s", "1",
+             "--gamma", "2", "--method", "exact"]
+        )
+        assert code == 5
+        assert capsys.readouterr().err.startswith("numerical error: pmf sums to 1.1")
 
     def test_weibull_grid_runs(self, tmp_path):
         out = tmp_path / "power.csv"

@@ -1,11 +1,15 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from maxpe.errors import BudgetExceededError, ParameterError
+import lehmann_oracle
+from maxpe.errors import BudgetExceededError, NumericalError, ParameterError
 from maxpe.inference import AlternativeSpec, SeededRng, _block_statistics, _draw_block
 from maxpe.lehmann import (
+    AlternativeDistribution,
+    _beta_sums,
     alternative_distribution,
     exact_power,
     joint_frequency_pmf_lehmann,
@@ -93,8 +97,18 @@ class TestAlternativeDistribution:
         assert dist.condition_estimate >= 1.0
 
     def test_budget_guard(self):
+        start = time.perf_counter()
         with pytest.raises(BudgetExceededError):
-            alternative_distribution(25, 25, 4, 4, 2.0)
+            alternative_distribution(400, 400, 40, 40, 2.0)
+        assert time.perf_counter() - start < 1.0  # refused before any work
+
+    def test_bad_pmf_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="sums to"):
+            AlternativeDistribution(
+                m=1, n=2, r=1, s=1, gamma=2.0, pmf_values=(0.5, 0.6),
+                condition_estimate=1.0,
+            )
+        assert not issubclass(NumericalError, ParameterError)
 
     def test_direction_matches_monte_carlo_at_extreme_gamma(self):
         """gamma = 50 pushes Y toward 1, so X precedes almost surely."""
@@ -132,6 +146,50 @@ class TestAlternativeDistribution:
             # the additive floor covers support points with expected count
             # below the normal-approximation regime
             assert abs(hist[t] / reps - p) <= 4 * se + 5 / reps
+
+
+class TestAgainstOracle:
+    """The recurrences against a direct high-precision enumeration."""
+
+    @pytest.mark.parametrize(
+        "m,n,r,s,gamma",
+        [
+            (25, 25, 3, 3, 4.84),
+            (20, 20, 4, 4, 0.3),  # beyond the old vector-pair budget
+            (5, 160, 1, 1, 0.271),  # beyond the old fixed 40-digit fallback
+            (6, 9, 2, 3, 2.5),
+            (8, 7, 3, 1, 0.7),
+        ],
+    )
+    def test_pmf_matches_oracle(self, m, n, r, s, gamma):
+        oracle = lehmann_oracle.alternative_pmf(m, n, r, s, gamma)
+        dist = alternative_distribution(m, n, r, s, gamma)
+        for p, expected in zip(dist.pmf_values, oracle, strict=True):
+            assert p == pytest.approx(expected, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [120, 160, 240])
+    def test_long_training_sample_normalizes(self, n):
+        dist = alternative_distribution(5, n, 1, 1, 2.0)
+        assert math.fsum(dist.pmf_values) == pytest.approx(1.0, abs=1e-12)
+
+    def test_heavily_cancelling_beta_sum(self):
+        # 239 alternating terms of total magnitude ~3e59 leave S = 1.5734e-3
+        [(log_s, condition)] = _beta_sums(0, 6, 238, 1, 2.0, 1)
+        expected = lehmann_oracle.beta_sum(0, 0, 5, 238, 1, 2.0)
+        assert math.exp(log_s) == pytest.approx(float(expected), rel=1e-12)
+        assert float(expected) == pytest.approx(1.5734e-3, abs=5e-8)
+        assert condition > 1e60
+
+    @pytest.mark.parametrize("m,n,r,s,gamma", [(6, 9, 2, 3, 2.5), (8, 7, 3, 1, 0.7)])
+    def test_per_vector_pmfs_add_up_to_the_table(self, m, n, r, s, gamma):
+        """Each whole vector's probability, bucketed by its statistic."""
+        buckets = [[] for _ in range(m + 1)]
+        for fv in _all_frequency_vectors(m, n, r, s):
+            stat = max(fv.f_p) + max(fv.f_e)
+            buckets[stat].append(joint_frequency_pmf_lehmann(fv, gamma))
+        dist = alternative_distribution(m, n, r, s, gamma)
+        for t, bucket in enumerate(buckets):
+            assert math.fsum(bucket) == pytest.approx(dist.pmf(t), abs=1e-13)
 
 
 class TestExactPower:
