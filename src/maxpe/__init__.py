@@ -8,7 +8,6 @@ Monte-Carlo power studies, and a CLI.
 """
 
 from .combinatorics import (
-    LogReal,
     binomial,
     bounded_composition_count,
     exact_max_composition_count,
@@ -58,7 +57,6 @@ __all__ = [
     "BudgetExceededError",
     "CriticalValue",
     "FrequencyVector",
-    "LogReal",
     "NullDistribution",
     "NumericalError",
     "ParameterError",

@@ -1,8 +1,8 @@
 """Exact counting primitives and log-domain special functions.
 
 Integer counts use Python's arbitrary-precision arithmetic; nothing here
-rounds. The log-domain helpers exist because the Beta-chain products used
-by the alternative-distribution code underflow double precision long
+rounds. log_beta works in the log domain because the Beta-chain products
+used by the alternative-distribution code underflow double precision long
 before the final probabilities do.
 
 Everything is a pure function; the lru_cache-backed counter is safe for
@@ -12,9 +12,7 @@ concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 __all__ = [
     "binomial",
@@ -22,8 +20,6 @@ __all__ = [
     "bounded_composition_count",
     "bounded_composition_count_dp",
     "exact_max_composition_count",
-    "LogReal",
-    "signed_log_sum",
 ]
 
 
@@ -147,58 +143,4 @@ def exact_max_composition_count(total: int, boxes: int, peak: int) -> int:
         return 1 if total == 0 else 0
     return bounded_composition_count(total, boxes, peak) - bounded_composition_count(
         total, boxes, peak - 1
-    )
-
-
-@dataclass(frozen=True)
-class LogReal:
-    """A real number stored as sign * exp(log_magnitude).
-
-    sign is 0 exactly when the value is zero, in which case log_magnitude
-    is -inf.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(0, -math.inf)
-
-    @classmethod
-    def from_float(cls, x: float) -> "LogReal":
-        if x == 0.0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude)
-
-    def scaled_float(self, log_shift: float) -> float:
-        """sign * exp(log_magnitude + log_shift) without forming huge exps."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_magnitude + log_shift)
-
-
-def signed_log_sum(terms: Iterable[tuple[int, float]]) -> tuple[LogReal, float]:
-    """Sum of sign * exp(log_magnitude) terms with compensated accumulation.
-
-    Terms are rescaled by the largest magnitude and added with math.fsum,
-    so the only rounding is the final one. Returns the total and a
-    condition estimate: largest term magnitude over total magnitude
-    (1 means no cancellation; inf means the total vanished).
-    """
-    live = [(s, lm) for s, lm in terms if s != 0 and lm != -math.inf]
-    if not live:
-        return LogReal.zero(), 1.0
-    shift = max(lm for _, lm in live)
-    total = math.fsum(s * math.exp(lm - shift) for s, lm in live)
-    if total == 0.0:
-        return LogReal.zero(), math.inf
-    return (
-        LogReal(1 if total > 0 else -1, shift + math.log(abs(total))),
-        1.0 / abs(total),
     )

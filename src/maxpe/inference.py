@@ -1,22 +1,24 @@
 """Critical values, the randomized decision rule, and Monte-Carlo power.
 
 The Monte-Carlo engine is built on numpy's counter-based Philox generator
-(imported on first use, so the exact paths never load numpy):
-a (seed, stream) pair plus a purpose/block counter prefix fully determines
-every draw, replicate blocks are independent of execution order, and the
-accumulators are integer counts, so results are bit-identical across runs
-and worker layouts.
+(imported on first use, so the exact paths never load numpy): a (seed,
+stream) pair plus a purpose/block counter prefix fully determines every
+draw. Each block reduces to an integer histogram; blocks run on one thread
+per available CPU (inline on one) and their histograms are summed, so
+results are bit-identical across runs and do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
-from .null_dist import null_distribution
+from .null_dist import _validate_params, null_distribution
 from .statistics import Sample
 
 if TYPE_CHECKING:
@@ -37,7 +39,7 @@ __all__ = [
 
 _U64 = 2**64
 _BLOCK = 8192
-# approximate bytes of sorted copies and comparison temporaries per row chunk
+# approximate bytes of each row chunk of y drawn inside a block
 _CHUNK_BYTES = 4 * 2**20
 
 # purpose codes keep the power-sampling and null-calibration draw streams
@@ -207,9 +209,11 @@ def critical_value(
             raise ParameterError(
                 f"Monte-Carlo calibration needs at least {_MIN_CALIBRATION_REPS} replicates"
             )
+        _validate_params(m, n, r, s)
         rng = rng if rng is not None else SeededRng(0)
-        c, a1, a2 = _mc_calibrate(m, n, r, s, alpha, "T", reps, rng)
-        return CriticalValue(c, a1, a2)
+        runs = [(_PURPOSE_CALIBRATION, AlternativeSpec.lehmann(1.0), reps)]
+        (counts,) = _histograms(rng, (m, n, r, s, "T"), runs)
+        return _mc_critical_value(counts, reps, alpha)
     raise ParameterError(f"unknown method {method!r}")
 
 
@@ -259,45 +263,31 @@ def randomized_decision(
     return RandomizedDecision(t_observed, c, alpha1, alpha2, phi, "accept", False)
 
 
-def _draw_block(
-    alt: AlternativeSpec,
-    rows: int,
-    m: int,
-    n: int,
-    generator: np.random.Generator,
-    null: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block of sample pairs; under `null` both groups share the baseline.
-
-    The varied group is transformed in place: the same values as a
-    transformed copy, without a block-sized temporary.
-    """
+def _draw_group(
+    alt: AlternativeSpec, generator: np.random.Generator, shape: tuple, varied: bool
+) -> np.ndarray:
+    """One group's draws from the baseline, transformed in place if `varied`."""
     if alt.kind == "lehmann":
-        x = generator.random((rows, m))
-        y = generator.random((rows, n))
-        if not null:
-            exponent = 1.0 / alt.gamma
-            if alt.varied == "test":
-                y **= exponent
-            else:
-                x **= exponent
+        values = generator.random(shape)
+        if varied:
+            values **= 1.0 / alt.gamma
     elif alt.kind == "exponential":
-        x = generator.exponential(1.0, (rows, m))
-        y = generator.exponential(1.0, (rows, n))
-        if not null:
-            scale = 1.0 / alt.rate
-            if alt.varied == "test":
-                y *= scale
-            else:
-                x *= scale
+        values = generator.exponential(1.0, shape)
+        if varied:
+            values *= 1.0 / alt.rate
     else:  # weibull
-        x = generator.weibull(alt.shape, (rows, m))
-        y = generator.weibull(alt.shape, (rows, n))
-        if not null:
-            if alt.varied == "test":
-                y *= alt.scale
-            else:
-                x *= alt.scale
+        values = generator.weibull(alt.shape, shape)
+        if varied:
+            values *= alt.scale
+    return values
+
+
+def _draw_block(
+    alt: AlternativeSpec, rows: int, m: int, n: int, generator: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of sample pairs: all of x, then all of y."""
+    x = _draw_group(alt, generator, (rows, m), alt.varied == "training")
+    y = _draw_group(alt, generator, (rows, n), alt.varied == "test")
     return x, y
 
 
@@ -314,129 +304,137 @@ def sample_pair(
     )
 
 
-def _block_statistics(
-    x: np.ndarray, y: np.ndarray, r: int, s: int, statistic: str
-) -> np.ndarray:
-    """Vectorized statistic over a block of sample pairs (rows).
+class _Job(NamedTuple):
+    """One replicate block: its generator, its size and what it draws."""
 
-    Rows are processed in chunks so that the sorted copies and comparison
-    temporaries stay near _CHUNK_BYTES however large the samples grow.
+    purpose: int
+    generator: np.random.Generator
+    rows: int
+    alt: AlternativeSpec
+    cell: tuple[int, int, int, int, str]  # m, n, r, s, statistic
+
+
+def _block_histogram(job: _Job) -> np.ndarray:
+    """Counts of each statistic value over one block's replicates.
+
+    x is drawn whole and ordered in place, then y in row chunks of about
+    _CHUNK_BYTES: the stream is sequential, so y equals one (rows, n) draw.
     """
     import numpy as np
 
-    m, n = x.shape[1], y.shape[1]
-    step = max(1, _CHUNK_BYTES // (8 * (m + n) + (r + s) * m))
-    return np.concatenate(
-        [
-            _chunk_statistics(x[lo : lo + step], y[lo : lo + step], r, s, statistic)
-            for lo in range(0, x.shape[0], step)
-        ]
-    )
+    m, n, r, s, statistic = job.cell
+    x = _draw_group(job.alt, job.generator, (job.rows, m), job.alt.varied == "training")
+    if statistic == "V":
+        x.partition(m - s, axis=1)
+    else:
+        x.sort(axis=1)
+    counts = np.zeros(m + (n if statistic == "V" else 0) + 1, dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * n))
+    for lo in range(0, job.rows, step):
+        rows = min(step, job.rows - lo)
+        y = _draw_group(job.alt, job.generator, (rows, n), job.alt.varied == "test")
+        values = _chunk_statistics(x[lo : lo + step], y, r, s, statistic)
+        counts += np.bincount(values, minlength=counts.size)
+    return counts
 
 
 def _chunk_statistics(
     x: np.ndarray, y: np.ndarray, r: int, s: int, statistic: str
 ) -> np.ndarray:
-    """The statistic of every row of one chunk, all rows at once."""
+    """The statistic of every row of one chunk; y is reordered in place.
+
+    Rows of x are sorted for T and Q, and for V partitioned at m - s.
+    """
     import numpy as np
 
-    n = y.shape[1]
-    m = x.shape[1]
-    xs = np.sort(x, axis=1)
-    ys = np.sort(y, axis=1)
-    if statistic in ("T", "Q"):
-        # counts of X at or below each of the first r Y order statistics
-        at_or_below = (xs[:, None, :] <= ys[:, :r, None]).sum(axis=2)
-        f_p = np.diff(at_or_below, axis=1, prepend=0)
-        max_p = f_p.max(axis=1)
-        if statistic == "Q":
-            return max_p
-        # exceedance counts, minus anything claimed by the precedence block
-        # (relevant only when ties collapse the boundary order statistics)
-        at_or_above = (xs[:, None, :] >= ys[:, n - s :, None]).sum(axis=2)
-        unclaimed = (xs > ys[:, r - 1, None]).sum(axis=1)
-        at_or_above = np.minimum(at_or_above, unclaimed[:, None])
-        f_e = at_or_above - np.concatenate(
-            [at_or_above[:, 1:], np.zeros((x.shape[0], 1), dtype=np.int64)], axis=1
-        )
-        return max_p + f_e.max(axis=1)
+    m, n = x.shape[1], y.shape[1]
     if statistic == "V":
-        preceding = (xs <= ys[:, r - 1, None]).sum(axis=1)
-        boundary = xs[:, m - s]
-        exceeding = (ys > boundary[:, None]).sum(axis=1)
+        y.partition(r - 1, axis=1)
+        preceding = np.count_nonzero(x <= y[:, r - 1, None], axis=1)
+        exceeding = np.count_nonzero(y > x[:, m - s, None], axis=1)
         return preceding + exceeding
-    raise ParameterError(f"unknown statistic {statistic!r}")
+    y.partition([r - 1, n - s] if statistic == "T" else r - 1, axis=1)
+    queries = np.sort(y[:, :r], axis=1)
+    if statistic == "T":
+        # #{x >= v} = m - #{x <= the float just below v}, so one search serves both
+        high = np.nextafter(np.sort(y[:, n - s :], axis=1), -np.inf)
+        queries = np.concatenate([queries, high], axis=1)
+    below = _count_at_or_below(x, queries)
+    max_p = np.diff(below[:, :r], axis=1, prepend=0).max(axis=1)
+    if statistic == "Q":
+        return max_p
+    # exceedance counts, minus anything claimed by the precedence block
+    # (relevant only when ties collapse the boundary order statistics)
+    at_or_above = np.minimum(m - below[:, r:], m - below[:, r - 1 : r])
+    return max_p - np.diff(at_or_above, axis=1, append=0).min(axis=1)
+
+
+def _count_at_or_below(xs: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """#{x <= q} in the row of sorted xs for every query q of that row.
+
+    A branchless binary search: ceil(log2 m) + 1 gathers of the queries' shape.
+    """
+    import numpy as np
+
+    length = xs.shape[1]
+    offsets = np.arange(0, xs.size, length)[:, None]
+    base = np.repeat(offsets, queries.shape[1], axis=1)
+    while length > 1:
+        half = length // 2
+        base += half * (xs.take(base + half) <= queries)
+        length -= half
+    base += xs.take(base) <= queries
+    return base - offsets
 
 
 def _validate_statistic(m: int, n: int, r: int, s: int, statistic: str) -> None:
+    _validate_params(m, n, r, s)
     if statistic not in ("T", "V", "Q"):
         raise ParameterError(f"statistic must be one of T, V, Q; got {statistic!r}")
     if statistic == "V" and (r != s or m != n):
         raise ParameterError("the count-sum statistic V requires r == s and m == n")
-    if statistic == "V" and s > m:
-        raise ParameterError("V requires s <= m")
 
 
-def _simulate_counts(
-    m: int,
-    n: int,
-    r: int,
-    s: int,
-    alt: AlternativeSpec,
-    statistic: str,
-    reps: int,
-    rng: SeededRng,
-    purpose: int,
-    c: int,
-    null: bool,
-) -> tuple[int, int]:
-    """Counts of replicates with statistic >= c and == c - 1."""
-    n_ge = 0
-    n_eq = 0
-    done = 0
-    block = 0
-    while done < reps:
-        rows = min(_BLOCK, reps - done)
-        generator = rng.generator(purpose=purpose, block=block)
-        x, y = _draw_block(alt, rows, m, n, generator, null=null)
-        values = _block_statistics(x, y, r, s, statistic)
-        n_ge += int((values >= c).sum())
-        n_eq += int((values == c - 1).sum())
-        done += rows
-        block += 1
-    return n_ge, n_eq
+def _worker_count() -> int:
+    if hasattr(os, "sched_getaffinity"):  # absent where CPU affinity is not exposed
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _mc_calibrate(
-    m: int,
-    n: int,
-    r: int,
-    s: int,
-    alpha: float,
-    statistic: str,
-    reps: int,
-    rng: SeededRng,
-) -> tuple[int, float, float]:
-    """Empirical critical value and attained tail masses under the null."""
-    import numpy as np
+@lru_cache(maxsize=1)
+def _executor(pid: int):
+    """The block pool, made on first use in each process: forks inherit no threads."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    top = m + (n if statistic == "V" else 0)
-    counts = np.zeros(top + 2, dtype=np.int64)
-    done = 0
-    block = 0
-    null_alt = AlternativeSpec.lehmann(1.0)
-    while done < reps:
-        rows = min(_BLOCK, reps - done)
-        generator = rng.generator(purpose=_PURPOSE_CALIBRATION, block=block)
-        x, y = _draw_block(null_alt, rows, m, n, generator, null=True)
-        values = _block_statistics(x, y, r, s, statistic)
-        counts += np.bincount(values, minlength=top + 2)[: top + 2]
-        done += rows
-        block += 1
-    tail = np.cumsum(counts[::-1])[::-1] / reps
-    tails = list(tail) + [0.0]
+    return ThreadPoolExecutor(_worker_count(), thread_name_prefix="maxpe-mc")
+
+
+def _histograms(rng: SeededRng, cell: tuple, runs: list) -> list[np.ndarray]:
+    """Summed block histograms of each (purpose, alt, reps) run.
+
+    All blocks are mapped over one thread per available CPU (inline on one).
+    Each block owns its counter cell and the sums are of integers, so the
+    result is the same for any worker count.
+    """
+    jobs = [
+        _Job(purpose, rng.generator(purpose, block), min(_BLOCK, reps - lo), alt, cell)
+        for purpose, alt, reps in runs
+        for block, lo in enumerate(range(0, reps, _BLOCK))
+    ]
+    inline = _worker_count() == 1 or len(jobs) == 1
+    mapper = map if inline else _executor(os.getpid()).map
+    histograms = list(mapper(_block_histogram, jobs))
+    return [
+        sum(h for job, h in zip(jobs, histograms) if job.purpose == purpose)
+        for purpose, _, _ in runs
+    ]
+
+
+def _mc_critical_value(counts: np.ndarray, reps: int, alpha: float) -> CriticalValue:
+    """Empirical critical value and attained tail masses of a null histogram."""
+    tails = list(counts[::-1].cumsum()[::-1] / reps) + [0.0]
     crit = _critical_from_tails(tails, alpha)
-    return crit.c, float(crit.alpha1), float(crit.alpha2)
+    return CriticalValue(crit.c, float(crit.alpha1), float(crit.alpha2))
 
 
 def mc_power(
@@ -453,10 +451,10 @@ def mc_power(
     """Monte-Carlo estimate of the randomized test's rejection probability.
 
     T uses exact critical values; V and Q are calibrated on a simulated
-    null with the same seed discipline (calibration draws live in their
-    own stream, so they never overlap the power draws). The estimate
-    accumulates the expected randomization weight, and the reported
-    standard error is the binomial one at the estimated power.
+    null drawn in its own stream. Power and calibration blocks run on one
+    thread per available CPU, with the same result for any CPU count. The
+    estimate accumulates the expected randomization weight; the standard
+    error is the binomial one at the estimated power.
     """
     if reps < _MIN_MC_REPS:
         raise ParameterError(f"reps must be at least {_MIN_MC_REPS}")
@@ -465,18 +463,20 @@ def mc_power(
     _validate_statistic(m, n, r, s, statistic)
     rng = rng if rng is not None else SeededRng(0)
 
+    runs = [(_PURPOSE_POWER, alt, reps)]
     if statistic == "T":
+        # before any draw, so an over-budget null table fails fast
         crit = critical_value(m, n, r, s, alpha)
-        c, alpha1, alpha2 = crit.c, float(crit.alpha1), float(crit.alpha2)
+        (counts,) = _histograms(rng, (m, n, r, s, statistic), runs)
     else:
-        c, alpha1, alpha2 = _mc_calibrate(
-            m, n, r, s, alpha, statistic, max(reps, _MIN_CALIBRATION_REPS), rng
-        )
+        null_reps = max(reps, _MIN_CALIBRATION_REPS)
+        runs.append((_PURPOSE_CALIBRATION, AlternativeSpec.lehmann(1.0), null_reps))
+        counts, null_counts = _histograms(rng, (m, n, r, s, statistic), runs)
+        crit = _mc_critical_value(null_counts, null_reps, alpha)
+    c, alpha1, alpha2 = crit.c, float(crit.alpha1), float(crit.alpha2)
     ratio = (alpha - alpha1) / (alpha2 - alpha1) if alpha2 > alpha1 else 0.0
 
-    n_ge, n_eq = _simulate_counts(
-        m, n, r, s, alt, statistic, reps, rng, _PURPOSE_POWER, c, null=False
-    )
+    n_ge, n_eq = int(counts[c:].sum()), int(counts[c - 1])  # c >= 1 as alpha < 1
     power = (n_ge + ratio * n_eq) / reps
     std_error = math.sqrt(max(power * (1.0 - power), 0.0) / reps)
     return PowerEstimate(power, std_error, c, alpha1, alpha2)

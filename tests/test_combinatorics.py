@@ -5,13 +5,11 @@ import mpmath
 import pytest
 
 from maxpe.combinatorics import (
-    LogReal,
     binomial,
     bounded_composition_count,
     bounded_composition_count_dp,
     exact_max_composition_count,
     log_beta,
-    signed_log_sum,
 )
 
 
@@ -137,33 +135,3 @@ class TestExactMaxCompositions:
                     exact_max_composition_count(total, boxes, peak)
                     for peak in range(total + 1)
                 ) == binomial(total + boxes - 1, boxes - 1)
-
-
-class TestSignedLogSum:
-    def test_positive_terms(self):
-        value, condition = signed_log_sum([(1, math.log(2.0)), (1, math.log(3.0))])
-        assert value.to_float() == pytest.approx(5.0, rel=1e-14)
-        # condition = largest term / total = 3/5
-        assert condition == pytest.approx(0.6, rel=1e-12)
-
-    def test_cancellation_condition(self):
-        # 1e6 - 1e6 + 1 leaves 1 with condition ~1e6
-        terms = [(1, math.log(1e6)), (-1, math.log(1e6)), (1, 0.0)]
-        value, condition = signed_log_sum(terms)
-        assert value.to_float() == pytest.approx(1.0, rel=1e-9)
-        assert condition == pytest.approx(1e6, rel=1e-9)
-
-    def test_exact_zero(self):
-        value, condition = signed_log_sum([(1, 1.5), (-1, 1.5)])
-        assert value.sign == 0
-        assert value.to_float() == 0.0
-        assert math.isinf(condition)
-
-    def test_empty(self):
-        value, condition = signed_log_sum([])
-        assert value == LogReal.zero()
-        assert condition == 1.0
-
-    def test_logreal_roundtrip(self):
-        for x in (-2.5, 0.0, 1e-300, 7.25):
-            assert LogReal.from_float(x).to_float() == pytest.approx(x, rel=1e-15)

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +13,9 @@ from maxpe.errors import ParameterError
 from maxpe.inference import (
     AlternativeSpec,
     SeededRng,
-    _block_statistics,
+    _Job,
+    _block_histogram,
+    _chunk_statistics,
     _draw_block,
     critical_value,
     mc_power,
@@ -213,6 +219,12 @@ class TestSamplePair:
             AlternativeSpec(kind="lognormal")
 
 
+def _ordered(x, s, statistic):
+    """x as _block_histogram leaves it: partitioned at m - s for V, else sorted."""
+    m = x.shape[1]
+    return np.partition(x, m - s, axis=1) if statistic == "V" else np.sort(x, axis=1)
+
+
 class TestBlockStatisticsAgainstScalar:
     @pytest.mark.parametrize("statistic", ["T", "V", "Q"])
     def test_matches_statistic_bundle_with_ties(self, statistic):
@@ -222,7 +234,7 @@ class TestBlockStatisticsAgainstScalar:
         # integer-valued draws force heavy ties through the same code path
         x = rng.integers(0, 8, size=(300, m)).astype(float)
         y = rng.integers(0, 8, size=(300, n)).astype(float)
-        block = _block_statistics(x, y, r, s, statistic)
+        block = _chunk_statistics(_ordered(x, s, statistic), y.copy(), r, s, statistic)
         for row in range(x.shape[0]):
             bundle = statistic_bundle(x[row], y[row], r, s)
             expected = {
@@ -234,19 +246,33 @@ class TestBlockStatisticsAgainstScalar:
 
     @pytest.mark.parametrize("statistic", ["T", "V", "Q"])
     def test_row_chunks_match_one_pass(self, statistic, monkeypatch):
-        rng = np.random.default_rng(11)
-        x = rng.integers(0, 8, size=(300, 12)).astype(float)
-        y = rng.integers(0, 8, size=(300, 12)).astype(float)
-        whole = _block_statistics(x, y, 3, 3, statistic)
-        # 2000 bytes make uneven chunks of 7 rows at m = n = 12, r = s = 3
+        alt = AlternativeSpec.weibull(1.5, 1.3, varied="training")
+        cell = (12, 12, 3, 3, statistic)
+
+        def histogram():
+            generator = SeededRng(11).generator(purpose=1, block=3)
+            return _block_histogram(_Job(1, generator, 310, alt, cell))
+
+        whole = histogram()
+        assert whole.sum() == 310
+        # 2000 bytes make y chunks of 20 rows at n = 12, the last one of 10
         monkeypatch.setattr(inference, "_CHUNK_BYTES", 2000)
-        assert np.array_equal(_block_statistics(x, y, 3, 3, statistic), whole)
+        assert np.array_equal(histogram(), whole)
+
+    def test_overlapping_cell_blocks(self):
+        """Two levels often tie Y_(n-s+1) with Y_(r), so the blocks overlap."""
+        rng = np.random.default_rng(7)
+        x = rng.integers(0, 2, size=(300, 12)).astype(float)
+        y = rng.integers(0, 2, size=(300, 12)).astype(float)
+        block = _chunk_statistics(np.sort(x, axis=1), y.copy(), 3, 3, "T")
+        for row in range(300):
+            assert block[row] == statistic_bundle(x[row], y[row], 3, 3).max_sum
 
     def test_unequal_sizes(self):
         rng = np.random.default_rng(5)
         x = rng.random((100, 7))
         y = rng.random((100, 11))
-        block = _block_statistics(x, y, 2, 4, "T")
+        block = _chunk_statistics(np.sort(x, axis=1), y.copy(), 2, 4, "T")
         for row in range(100):
             assert block[row] == statistic_bundle(x[row], y[row], 2, 4).max_sum
 
@@ -257,6 +283,52 @@ class TestMcPower:
         a = mc_power(10, 10, 1, 1, 0.05, AlternativeSpec.lehmann(2.0), "T", **kwargs)
         b = mc_power(10, 10, 1, 1, 0.05, AlternativeSpec.lehmann(2.0), "T", **kwargs)
         assert a == b
+
+    @pytest.mark.parametrize("statistic", ["T", "V", "Q"])
+    def test_worker_layouts_agree(self, statistic, monkeypatch):
+        args = (30, 30, 3, 3, 0.05, AlternativeSpec.exponential(0.5), statistic)
+        kwargs = dict(reps=20_000, rng=SeededRng(19))
+        monkeypatch.setattr(inference, "_worker_count", lambda: 1)
+        inline = mc_power(*args, **kwargs)
+        # more threads than cores, switching often: a lost block would show
+        monkeypatch.setattr(inference, "_worker_count", lambda: 3)
+        inference._executor.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            pooled = mc_power(*args, **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+            inference._executor.cache_clear()
+        assert pooled == inline
+
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        args = (20, 20, 1, 1, 0.05, AlternativeSpec.lehmann(2.0), "T")
+        kwargs = dict(reps=20_000, rng=SeededRng(23))
+        monkeypatch.setattr(inference, "_worker_count", lambda: 2)
+        expected = mc_power(*args, **kwargs)  # the parent now holds a pool
+        try:
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                result = pool.apply_async(mc_power, args, kwargs).get(timeout=60)
+        finally:
+            inference._executor.cache_clear()
+        assert result == expected
+
+    def test_import_starts_no_pool(self):
+        script = (
+            "import sys, threading, maxpe.cli\n"
+            "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        )
+        src = os.path.dirname(os.path.dirname(inference.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert result.stdout.split() == ["False", "1"]
 
     def test_streams_agree_within_error(self):
         a = mc_power(
@@ -288,6 +360,13 @@ class TestMcPower:
             mc_power(10, 12, 1, 1, 0.05, AlternativeSpec.lehmann(2.0), "V")
         with pytest.raises(ParameterError):
             mc_power(10, 10, 1, 2, 0.05, AlternativeSpec.lehmann(2.0), "V")
+
+    def test_cell_counts_must_fit_the_test_sample(self):
+        for statistic in ("T", "V", "Q"):
+            with pytest.raises(ParameterError):
+                mc_power(10, 10, 6, 6, 0.05, AlternativeSpec.lehmann(2.0), statistic)
+        with pytest.raises(ParameterError):
+            critical_value(10, 10, 12, 1, 0.05, method="monte_carlo", reps=10_000)
 
     def test_largest_group_reference_cell(self):
         """One 100k-replicate reference cell at m = n = 30."""
@@ -392,3 +471,65 @@ class TestTableExperiment:
             reps=200_000, rng=SeededRng(61),
         )
         assert abs(est.power - exact) <= 4 * est.std_error
+
+
+# Seeded outputs recorded at the commit before the block-parallel engine; any
+# change to the draw order, the block layout or the kernel moves them.
+_PINNED_POWER = [
+    ("T", 20, 1, "lehmann", {"gamma": 2.0}, "test",
+     (0.327109375, 0.0033174450393873094, 6, 0.04573804573804574, 0.09088209088209089)),
+    ("T", 20, 1, "lehmann", {"gamma": 2.0}, "training",
+     (0.07348052631578947, 0.0018450086526645888, 6, 0.04573804573804574, 0.09088209088209089)),
+    ("T", 20, 1, "exponential", {"rate": 0.5}, "test",
+     (0.07509294407894737, 0.001863518095277095, 6, 0.04573804573804574, 0.09088209088209089)),
+    ("T", 20, 1, "exponential", {"rate": 0.5}, "training",
+     (0.31974347039473683, 0.0032977839796950533, 6, 0.04573804573804574, 0.09088209088209089)),
+    ("T", 20, 1, "weibull", {"shape": 1.5, "scale": 1.3}, "test",
+     (0.04479868421052632, 0.001462733094305517, 6, 0.04573804573804574, 0.09088209088209089)),
+    ("T", 20, 1, "weibull", {"shape": 1.5, "scale": 1.3}, "training",
+     (0.1438872697368421, 0.0024817707724981305, 6, 0.04573804573804574, 0.09088209088209089)),
+    ("V", 30, 3, "lehmann", {"gamma": 2.0}, "test",
+     (0.6526151270207853, 0.0033668132039395174, 13, 0.03785, 0.0595)),
+    ("V", 30, 3, "lehmann", {"gamma": 2.0}, "training",
+     (0.00012806004618937645, 8.001363846680965e-05, 13, 0.03785, 0.0595)),
+    ("V", 30, 3, "exponential", {"rate": 0.5}, "test",
+     (0.653155427251732, 0.003365586242420029, 13, 0.03785, 0.0595)),
+    ("V", 30, 3, "exponential", {"rate": 0.5}, "training",
+     (0.00011224018475750581, 7.490914059660257e-05, 13, 0.03785, 0.0595)),
+    ("V", 30, 3, "weibull", {"shape": 1.5, "scale": 1.3}, "test",
+     (0.3220549653579677, 0.00330405481678381, 13, 0.03785, 0.0595)),
+    ("V", 30, 3, "weibull", {"shape": 1.5, "scale": 1.3}, "training",
+     (0.0028856812933025404, 0.00037929896762158634, 13, 0.03785, 0.0595)),
+    ("Q", 30, 3, "lehmann", {"gamma": 2.0}, "test",
+     (0.566675323910483, 0.0035039577707317777, 6, 0.0355, 0.07795)),
+    ("Q", 30, 3, "lehmann", {"gamma": 2.0}, "training",
+     (0.00032202591283863376, 0.00012687044812526165, 6, 0.0355, 0.07795)),
+    ("Q", 30, 3, "exponential", {"rate": 0.5}, "test",
+     (0.2346528268551237, 0.0029965887080480617, 6, 0.0355, 0.07795)),
+    ("Q", 30, 3, "exponential", {"rate": 0.5}, "training",
+     (0.0052714958775029455, 0.0005120403894575317, 6, 0.0355, 0.07795)),
+    ("Q", 30, 3, "weibull", {"shape": 1.5, "scale": 1.3}, "test",
+     (0.1311190812720848, 0.0023867013616961927, 6, 0.0355, 0.07795)),
+    ("Q", 30, 3, "weibull", {"shape": 1.5, "scale": 1.3}, "training",
+     (0.01374693757361602, 0.0008233455921107225, 6, 0.0355, 0.07795)),
+]
+
+
+class TestPinnedStream:
+    @pytest.mark.parametrize(
+        "statistic, m, r, kind, params, varied, expected", _PINNED_POWER
+    )
+    def test_mc_power(self, statistic, m, r, kind, params, varied, expected):
+        alt = AlternativeSpec(kind=kind, varied=varied, **params)
+        est = mc_power(
+            m, m, r, r, 0.05, alt, statistic, reps=20_000,
+            rng=SeededRng(2024, stream=7),
+        )
+        assert tuple(est) == expected
+
+    def test_monte_carlo_critical_value(self):
+        crit = critical_value(
+            25, 25, 2, 3, 0.05, method="monte_carlo", reps=20_000,
+            rng=SeededRng(5, 9),
+        )
+        assert tuple(crit) == (8, 0.0495, 0.0977)

@@ -6,7 +6,14 @@ import pytest
 
 import lehmann_oracle
 from maxpe.errors import BudgetExceededError, NumericalError, ParameterError
-from maxpe.inference import AlternativeSpec, SeededRng, _block_statistics, _draw_block
+from maxpe.inference import (
+    AlternativeSpec,
+    SeededRng,
+    _block_histogram,
+    _chunk_statistics,
+    _draw_block,
+    _Job,
+)
 from maxpe.lehmann import (
     AlternativeDistribution,
     _beta_sums,
@@ -117,7 +124,7 @@ class TestAlternativeDistribution:
         reps = 200_000
         gen = SeededRng(71).generator(purpose=1)
         x, y = _draw_block(AlternativeSpec.lehmann(gamma), reps, 1, 2, gen)
-        t_vals = _block_statistics(x, y, 1, 1, "T")
+        t_vals = _chunk_statistics(np.sort(x, axis=1), y, 1, 1, "T")
         frac1 = float((t_vals == 1).mean())
         se = (frac1 * (1 - frac1) / reps) ** 0.5
         assert dist.pmf(1) == pytest.approx(frac1, abs=4 * se + 1e-3)
@@ -129,17 +136,12 @@ class TestAlternativeDistribution:
         dist = alternative_distribution(10, 10, r, r, gamma)
         reps = 1_000_000
         rng = SeededRng(424242)
-        hist = np.zeros(12, dtype=np.int64)
-        done, block = 0, 0
-        while done < reps:
-            rows = min(65536, reps - done)
-            gen = rng.generator(purpose=1, block=block)
-            x, y = _draw_block(AlternativeSpec.lehmann(gamma), rows, 10, 10, gen)
-            hist += np.bincount(
-                _block_statistics(x, y, r, r, "T"), minlength=12
-            )[:12]
-            done += rows
-            block += 1
+        alt = AlternativeSpec.lehmann(gamma)
+        cell = (10, 10, r, r, "T")
+        hist = sum(
+            _block_histogram(_Job(1, rng.generator(1, block), rows, alt, cell))
+            for block, rows in enumerate([65536] * 15 + [reps - 15 * 65536])
+        )
         for t in range(11):
             p = dist.pmf(t)
             se = math.sqrt(max(p * (1 - p), 0.0) / reps)
