@@ -18,9 +18,12 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceededError, NumericalError, ParameterError
 from .inference import (
+    POWER_COLUMNS,
     AlternativeSpec,
+    PowerEstimate,
     SeededRng,
     critical_value,
+    power_row,
     randomized_decision,
     table_experiment,
 )
@@ -100,6 +103,8 @@ def read_sample_column(path: str, column: Optional[str] = None) -> list[float]:
                 raise InputFormatError(
                     f"column {column!r} not found in {path} (header: {header})"
                 ) from None
+            if index < 0:
+                raise InputFormatError(f"column index {index} in {path} is negative")
     values = []
     for row_number, row in enumerate(rows, start=1):
         if index >= len(row):
@@ -140,7 +145,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _emit(args, header: list[str], rows: list[dict], config: dict) -> None:
+def _emit(args, header: Sequence[str], rows: list[dict], config: dict) -> None:
     if args.format == "json":
         payload = {"config": config, "results": rows}
         text = json.dumps(payload, indent=2, default=_json_default) + "\n"
@@ -359,23 +364,8 @@ def _power_rows(args, statistics: list[str]) -> list[dict]:
             ]
             crit = critical_value(args.m, args.n, r, s, args.alpha)
             for alt, power in zip(alternatives, powers):
-                rows.append(
-                    {
-                        "m": args.m,
-                        "n": args.n,
-                        "r": r,
-                        "s": s,
-                        "statistic": "T",
-                        "alternative": alt.describe(),
-                        "param": alt.varied_value,
-                        "alpha": args.alpha,
-                        "power": power,
-                        "std_error": None,
-                        "c": crit.c,
-                        "alpha1": float(crit.alpha1),
-                        "alpha2": float(crit.alpha2),
-                    }
-                )
+                exact = PowerEstimate(power, None, crit.c, float(crit.alpha1), float(crit.alpha2))
+                rows.append(power_row(args.m, args.n, r, s, "T", alt, args.alpha, exact))
         return rows
     cells = [
         {"m": args.m, "n": args.n, "r": r, "s": s, "alt": alt, "statistic": stat}
@@ -384,23 +374,6 @@ def _power_rows(args, statistics: list[str]) -> list[dict]:
         for alt in alternatives
     ]
     return table_experiment(cells, reps=args.reps, seed=args.seed, alpha=args.alpha)
-
-
-_POWER_HEADER = [
-    "m",
-    "n",
-    "r",
-    "s",
-    "statistic",
-    "alternative",
-    "param",
-    "alpha",
-    "power",
-    "std_error",
-    "c",
-    "alpha1",
-    "alpha2",
-]
 
 
 def _write_curves(args, rows: list[dict]) -> None:
@@ -420,30 +393,16 @@ def _write_curves(args, rows: list[dict]) -> None:
 
 
 def cmd_power(args) -> int:
-    rows = _power_rows(args, ["T"])
-    config = _power_config(args, "power", ["T"])
-    if args.curve_dir:
-        _write_curves(args, rows)
-    _emit(args, _POWER_HEADER, rows, config)
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
+    """`power` (statistics fixed to T) and `compare` over one grid."""
     statistics = [tok.strip().upper() for tok in args.statistics.split(",") if tok.strip()]
     for stat in statistics:
         if stat not in ("T", "V", "Q"):
             raise ParameterError(f"unknown statistic {stat!r}; choose from T, V, Q")
     rows = _power_rows(args, statistics)
-    config = _power_config(args, "compare", statistics)
     if args.curve_dir:
         _write_curves(args, rows)
-    _emit(args, _POWER_HEADER, rows, config)
-    return EXIT_OK
-
-
-def _power_config(args, name: str, statistics: list[str]) -> dict:
-    return {
-        "subcommand": name,
+    config = {
+        "subcommand": args.subcommand,
         "m": args.m,
         "n": args.n,
         "r": args.r,
@@ -459,6 +418,8 @@ def _power_config(args, name: str, statistics: list[str]) -> dict:
         "reps": args.reps,
         "seed": args.seed,
     }
+    _emit(args, POWER_COLUMNS, rows, config)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_power = sub.add_parser("power", help="power of the max-sum test over a grid")
     _add_power_options(p_power)
     _add_common(p_power)
-    p_power.set_defaults(func=cmd_power)
+    p_power.set_defaults(func=cmd_power, statistics="T")
 
     p_cmp = sub.add_parser("compare", help="compare T, V, and Q test power")
     _add_power_options(p_cmp)
     p_cmp.add_argument("--statistics", default="T,V,Q")
     _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_power)
 
     return parser
 

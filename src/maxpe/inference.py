@@ -34,7 +34,9 @@ __all__ = [
     "randomized_decision",
     "sample_pair",
     "mc_power",
+    "power_row",
     "table_experiment",
+    "POWER_COLUMNS",
 ]
 
 _U64 = 2**64
@@ -132,14 +134,6 @@ class AlternativeSpec:
         return cls(kind="weibull", shape=shape, scale=scale, varied=varied)
 
     @property
-    def is_null(self) -> bool:
-        return {
-            "lehmann": self.gamma == 1.0,
-            "exponential": self.rate == 1.0,
-            "weibull": self.scale == 1.0,
-        }[self.kind]
-
-    @property
     def varied_value(self) -> float:
         return {
             "lehmann": self.gamma,
@@ -176,10 +170,15 @@ class RandomizedDecision:
 
 class PowerEstimate(NamedTuple):
     power: float
-    std_error: float
+    std_error: Optional[float]  # None for an exact power
     c: int
     alpha1: float
     alpha2: float
+
+
+# the columns of a power-grid row: its cell, then its PowerEstimate
+POWER_COLUMNS = ("m", "n", "r", "s", "statistic", "alternative", "param", "alpha",
+                 *PowerEstimate._fields)
 
 
 def critical_value(
@@ -513,20 +512,23 @@ def table_experiment(
             rng=SeededRng(seed, stream=index),
         )
         rows.append(
-            {
-                "m": cell["m"],
-                "n": cell["n"],
-                "r": cell["r"],
-                "s": cell["s"],
-                "statistic": statistic,
-                "alternative": alt.describe(),
-                "param": alt.varied_value,
-                "alpha": cell_alpha,
-                "power": estimate.power,
-                "std_error": estimate.std_error,
-                "c": estimate.c,
-                "alpha1": estimate.alpha1,
-                "alpha2": estimate.alpha2,
-            }
+            power_row(
+                cell["m"], cell["n"], cell["r"], cell["s"], statistic, alt, cell_alpha, estimate
+            )
         )
     return rows
+
+
+def power_row(
+    m: int,
+    n: int,
+    r: int,
+    s: int,
+    statistic: str,
+    alt: AlternativeSpec,
+    alpha: float,
+    estimate: PowerEstimate,
+) -> dict:
+    """One row of a power grid, keyed by POWER_COLUMNS."""
+    cell = (m, n, r, s, statistic, alt.describe(), alt.varied_value, alpha)
+    return dict(zip(POWER_COLUMNS, (*cell, *estimate)))

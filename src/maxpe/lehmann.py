@@ -7,8 +7,8 @@ the cell-count factorials; n1 is the precedence total, t the total of all
 cells, q = n - r - s. The pmf comes from three polynomial passes over
 positive quantities, so nothing cancels in floating point: side tables by a
 recurrence over (partial sum, running max) states, a table of S in which
-only the diagonal is an alternating sum (evaluated in mpmath), and an O(m^3)
-cross step. gamma = 1 recovers the exact null.
+only the diagonal is an alternating sum (evaluated in mpmath), and the null
+kernel's O(m^3) cross step. gamma = 1 recovers the exact null.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .combinatorics import log_beta
-from .errors import BudgetExceededError, NumericalError, ParameterError
-from .null_dist import _validate_params
+from .errors import NumericalError, ParameterError
+from .null_dist import _check_budget, _cross, _cross_steps, _Law, _validate_params
 from .statistics import FrequencyVector
 
 __all__ = [
@@ -27,11 +27,8 @@ __all__ = [
     "joint_frequency_pmf_lehmann",
     "alternative_distribution",
     "exact_power",
-    "DEFAULT_TERM_BUDGET",
 ]
 
-# side-table transitions, cross multiply-adds and Beta-sum terms
-DEFAULT_TERM_BUDGET = 10**8
 _GUARD_DIGITS = 20  # working digits kept beyond the worst cancellation
 
 _PMF_SLACK = 1e-9
@@ -41,13 +38,16 @@ _LogFactor = Callable[[int, int, int], float]
 
 
 @dataclass(frozen=True)
-class AlternativeDistribution:
+class AlternativeDistribution(_Law):
     """pmf of the statistic under G = F^gamma, with a cancellation diagnostic.
 
     condition_estimate is the largest ratio of the summed term magnitudes of
     a diagonal Beta sum to its value: the factor by which evaluating that sum
     in working precision magnifies rounding (1 means nothing cancels).
     """
+
+    _zero = 0.0
+    _one = 1.0
 
     m: int
     n: int
@@ -72,28 +72,7 @@ class AlternativeDistribution:
             )
         clamped = tuple(min(1.0, max(0.0, p)) for p in self.pmf_values)
         object.__setattr__(self, "pmf_values", clamped)
-        running = 0.0
-        cdf = []
-        for p in clamped:
-            running = min(1.0, running + p)
-            cdf.append(running)
-        object.__setattr__(self, "cdf_values", tuple(cdf))
-
-    @property
-    def support(self) -> range:
-        return range(len(self.pmf_values))
-
-    def pmf(self, t: int) -> float:
-        if 0 <= t < len(self.pmf_values):
-            return self.pmf_values[t]
-        return 0.0
-
-    def cdf(self, t: int) -> float:
-        if t < 0:
-            return 0.0
-        if t >= len(self.cdf_values):
-            return 1.0
-        return self.cdf_values[t]
+        self._set_cdf()
 
     def tail(self, t: int) -> float:
         """P[T >= t]."""
@@ -257,19 +236,24 @@ def joint_frequency_pmf_lehmann(fv: FrequencyVector, gamma: float) -> float:
     return min(1.0, math.exp(log_p))
 
 
-def _steps(m: int, n: int, r: int, s: int) -> int:
-    """Work of alternative_distribution, counted before any is done."""
+def _steps(m: int, n: int, r: int, s: int, cells: list[tuple[int, int, int]]) -> int:
+    """Work of alternative_distribution over `cells`, counted before any is done."""
     cube = math.comb(m + 3, 3)  # sum of t + 1 over the (t, v) moves of one cell
     sides = 2 * (m + 1) + (r + s - 2) * cube  # a side's first cell moves from t = 0
-    cross = 2 * cube
     q = n - r - s
     # per Beta-sum term: m + 1 magnitudes, then 3m + 2 high-precision products
     terms = (q + 1) * (4 * m + 3) if q else 0
-    return sides + cross + terms
+    return sides + _cross_steps(r, s, m, cells) + terms
+
+
+def _by_peak(w: list[list[float]], boxes: int, m: int) -> list[list[float]]:
+    """w[total][peak] of _side read by largest cell: row p holds the totals
+    p..min(boxes * p, m), the band outside of which every entry is 0."""
+    return [[w[t][p] for t in range(p, min(boxes * p, m) + 1)] for p in range(m + 1)]
 
 
 def alternative_distribution(
-    m: int, n: int, r: int, s: int, gamma: float, term_budget: int = DEFAULT_TERM_BUDGET
+    m: int, n: int, r: int, s: int, gamma: float
 ) -> AlternativeDistribution:
     """Exact pmf of the statistic under G = F^gamma, in three passes:
 
@@ -277,17 +261,16 @@ def alternative_distribution(
        total n1 (n2) and largest cell i (j): (r + s) m^3 / 6 steps;
     2. the Beta sums S(n1, t) from S(n1, t) = S(n1, t-1) + S(n1+1, t), with
        only the m + 1 diagonal sums evaluated, in mpmath: 3 (q + 1) m products;
-    3. H_j[n1] = sum_n2 E[n2][j] S(n1, n1 + n2) / (m - n1 - n2)!, once per j,
-       and pmf[i + j] += P[n1][i] H_j[n1]: m^3 / 3 multiply-adds.
+    3. the null kernel's cross step: H_j[n1] = sum_n2 E[n2][j] S(n1, n1 + n2)
+       / (m - n1 - n2)!, once per j, and pmf[i + j] += P[n1][i] H_j[n1], each
+       sum over the band n2 <= s*j (n1 <= r*i) where the side entry can be
+       nonzero: at most m^3 / 3 multiply-adds, (m + 1)(m + 2) when r = s = 1.
 
-    Raises BudgetExceededError, before any work, above term_budget steps.
+    Raises BudgetExceededError, before any work, above WORK_BUDGET steps.
     """
     _validate(m, n, r, s, gamma)
-    steps = _steps(m, n, r, s)
-    if steps > term_budget:
-        raise BudgetExceededError(
-            f"{steps} Lehmann-law steps exceed the term budget {term_budget}"
-        )
+    cells = [(j, 0, m - j) for j in range(m + 1)]
+    _check_budget(_steps(m, n, r, s, cells), "Lehmann-law")
     log_s, condition = _beta_sum_table(m, n - r - s, r, gamma)
     scale_p, w_p = _side(r, m, _precedence_factor(gamma))
     scale_e, w_e = _side(s, m, _exceedance_factor(m, n, s, gamma))
@@ -299,14 +282,9 @@ def alternative_distribution(
          for t in range(n1, m + 1)]
         for n1 in range(m + 1)
     ]
-    pmf = [0.0] * (m + 1)
-    for j in range(m + 1):
-        h_j = [
-            sum(w_e[n2][j] * link_n1[n2] for n2 in range(j, m - n1 + 1))
-            for n1, link_n1 in enumerate(link[: m - j + 1])
-        ]
-        for i in range(m - j + 1):
-            pmf[i + j] += sum(w_p[n1][i] * h_j[n1] for n1 in range(i, m - j + 1))
+    pmf = _cross(
+        _by_peak(w_p, r, m), _by_peak(w_e, s, m), lambda n1, lo, hi: link[n1][lo:hi], cells, m
+    )
     return AlternativeDistribution(
         m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf), condition_estimate=condition
     )

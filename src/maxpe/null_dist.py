@@ -3,7 +3,9 @@
 All null probabilities are ratios of integer counts, so everything here is
 computed in exact rational arithmetic: a distribution's pmf entries share
 the denominator C(m+n, n) and are returned as Fractions. One convolution
-kernel serves the full, truncated and large-sample laws. A brute-force
+kernel serves the full, truncated and large-sample laws; its cross step,
+which joins the precedence and exceedance sides cell by cell, also serves
+the Lehmann law in floats, under the same WORK_BUDGET. A brute-force
 enumeration over sample interleavings doubles as the validation oracle for
 the composition-count formula.
 """
@@ -13,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import mul
-from typing import Optional
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .combinatorics import binomial, exact_max_composition_count
 from .errors import BudgetExceededError, ParameterError
@@ -33,16 +35,68 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 10**7
-WORK_BUDGET = 10**8  # null-kernel steps: side-table entries plus multiply-adds
+# steps of one exact law: side-table entries, cross multiply-adds and, for the
+# Lehmann law, Beta-sum terms
+WORK_BUDGET = 10**8
+
+
+def _check_budget(steps: int, law: str) -> None:
+    """Raise BudgetExceededError, before any work, above WORK_BUDGET steps."""
+    if steps > WORK_BUDGET:
+        raise BudgetExceededError(f"{steps} {law} steps exceed {WORK_BUDGET}")
+
+
+class _Law:
+    """pmf/cdf lookups shared by the null and Lehmann laws.
+
+    A subclass is a frozen dataclass with pmf_values on the support
+    0..len(pmf_values) - 1 and a cdf_values field that _set_cdf fills; _zero
+    and _one are 0 and 1 in its number type. A truncated table (complete
+    False) refuses lookups beyond its support.
+    """
+
+    complete = True
+    _zero: Any
+    _one: Any
+
+    def _set_cdf(self) -> Any:
+        """Store the running sums of pmf_values, capped at 1, as cdf_values,
+        and return their uncapped total."""
+        sums = list(accumulate(self.pmf_values, initial=self._zero))
+        object.__setattr__(self, "cdf_values", tuple(min(c, self._one) for c in sums[1:]))
+        return sums[-1]
+
+    @property
+    def support(self) -> range:
+        return range(len(self.pmf_values))
+
+    def pmf(self, t: int) -> Any:
+        if 0 <= t < len(self.pmf_values):
+            return self.pmf_values[t]
+        if self.complete or t < 0:
+            return self._zero
+        raise ParameterError(f"t = {t} beyond the truncated support")
+
+    def cdf(self, t: int) -> Any:
+        if t < 0:
+            return self._zero
+        if t < len(self.cdf_values):
+            return self.cdf_values[t]
+        if self.complete:
+            return self._one
+        raise ParameterError(f"t = {t} beyond the truncated support")
 
 
 @dataclass(frozen=True)
-class NullDistribution:
+class NullDistribution(_Law):
     """Exact pmf/cdf of the statistic on its support {0..m}.
 
     When built with a truncated support (complete=False) the tables cover
     {0..t_max} only and the normalization invariants are not enforced.
     """
+
+    _zero = Fraction(0)
+    _one = Fraction(1)
 
     m: int
     n: int
@@ -55,37 +109,12 @@ class NullDistribution:
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.pmf_values):
             raise ParameterError("pmf entries must be non-negative")
-        running = Fraction(0)
-        cdf = []
-        for p in self.pmf_values:
-            running += p
-            cdf.append(running)
-        object.__setattr__(self, "cdf_values", tuple(cdf))
+        total = self._set_cdf()
         if self.complete:
             if len(self.pmf_values) != self.m + 1:
                 raise ParameterError("complete support must cover 0..m")
-            if running != 1:
-                raise ParameterError(f"pmf sums to {running}, expected exactly 1")
-
-    @property
-    def support(self) -> range:
-        return range(len(self.pmf_values))
-
-    def pmf(self, t: int) -> Fraction:
-        if 0 <= t < len(self.pmf_values):
-            return self.pmf_values[t]
-        if self.complete or t < 0:
-            return Fraction(0)
-        raise ParameterError(f"t = {t} beyond the truncated support")
-
-    def cdf(self, t: int) -> Fraction:
-        if t < 0:
-            return Fraction(0)
-        if t < len(self.cdf_values):
-            return self.cdf_values[t]
-        if self.complete:
-            return Fraction(1)
-        raise ParameterError(f"t = {t} beyond the truncated support")
+            if total != 1:
+                raise ParameterError(f"pmf sums to {total}, expected exactly 1")
 
     def tail(self, t: int) -> Fraction:
         """P[T >= t]."""
@@ -109,12 +138,9 @@ def joint_frequency_pmf_null(fv: FrequencyVector) -> Fraction:
     Depends on the vector only through its total: the count of orderings
     that realize the vector divided by C(m+n, n).
     """
-    total = fv.total
-    if total > fv.m:
-        return Fraction(0)
     free = fv.n - fv.r - fv.s
     return Fraction(
-        binomial(fv.m - total + free, free), binomial(fv.m + fv.n, fv.n)
+        binomial(fv.m - fv.total + free, free), binomial(fv.m + fv.n, fv.n)
     )
 
 
@@ -130,43 +156,69 @@ def _series(lo: int, hi: int) -> int:
 
 
 _Cells = list[tuple[int, int, int]]
+_Rows = Union[Mapping[int, Sequence[Any]], Sequence[Sequence[Any]]]  # row per largest cell
 
 
-def _kernel(r: int, s: int, weights: list[int], cells: _Cells) -> list[int]:
-    """num[t], the sum of the cells (i, j) with i + j = t.
-
-    (j, i_lo, i_hi) in `cells` stands for the cells (i, j), i_lo <= i <= i_hi,
-    with i + j <= K = len(weights) - 1. Cell (i, j) sums W_r[i][k1] * H_j[k1],
-    H_j[k1] = sum W_s[j][k2] * weights[k1 + k2], over k1 + k2 <= K; W_b[p][k]
-    counts ordered b-tuples summing to k with largest part p. H_j is formed
-    once per j and shared by every i, so i + j <= t costs O(t * K^2) steps.
-    Raises BudgetExceededError, before any work, above WORK_BUDGET steps.
-    """
-    length = len(weights) - 1
-    i_rows = range(min(c[1] for c in cells), max(c[2] for c in cells) + 1)
-    steps = sum(min(r * i, length) - i + 1 for i in i_rows)
+def _cross_steps(r: int, s: int, length: int, cells: _Cells) -> int:
+    """Multiply-adds _cross does with r- and s-cell side rows, counted before any."""
+    steps = 0
     for j, i_lo, i_hi in cells:
         top = min(s * j, length)
-        # W_s[j], then H_j: each k2 in [j, top] meets length - k2 + 1 values of k1
-        steps += top - j + 1 + _series(length - top + 1, length - j + 1)
+        # H_j: each k2 in [j, top] meets length - k2 + 1 values of k1
+        steps += _series(length - top + 1, length - j + 1)
         # cell (i, j) runs k1 over [i, min(r * i, length - j)]
         split = min(i_hi, (length - j) // r)
         steps += (r - 1) * _series(i_lo, split) + max(0, split - i_lo + 1)
         steps += _series(length - j - i_hi + 1, length - j - max(i_lo, split + 1) + 1)
-    if steps > WORK_BUDGET:
-        raise BudgetExceededError(f"{steps} null-kernel steps exceed {WORK_BUDGET}")
+    return steps
 
-    w_r = {i: _side_row(r, i, length) for i in i_rows}
+
+def _cross(
+    rows_r: _Rows, rows_s: _Rows, link: Callable[[int, int, int], Sequence[Any]],
+    cells: _Cells, length: int,
+) -> list[Any]:
+    """num[t], the sum of the cells (i, j) with i + j = t, from two side tables.
+
+    (j, i_lo, i_hi) in `cells` stands for the cells (i, j), i_lo <= i <= i_hi,
+    with i + j <= K = length. rows_r[i] holds the precedence side's weights
+    of totals k1 = i..min(r * i, K) with largest cell i, rows_s[j] the same
+    for the exceedance side, and link(k1, lo, hi) the link weights L(k1, k2)
+    for k2 = lo..hi - 1, cut short at k1 + k2 = K. Cell (i, j) sums
+    rows_r[i][k1] * H_j[k1], H_j[k1] = sum rows_s[j][k2] * L(k1, k2); H_j is
+    formed once per j and shared by every i. Slicing only the band a row
+    covers keeps the copies within the _cross_steps count.
+    """
     num = [0] * (max(j + i_hi for j, _, i_hi in cells) + 1)
     for j, i_lo, i_hi in cells:
-        w_s = _side_row(s, j, length)
+        row_s = rows_s[j]
         h_j = [
-            sum(map(mul, w_s, weights[k1 + j : k1 + j + len(w_s)]))
+            sum(map(mul, row_s, link(k1, j, j + len(row_s))))
             for k1 in range(length - j + 1)
         ]
         for i in range(i_lo, i_hi + 1):
-            num[i + j] += sum(map(mul, w_r[i], h_j[i : r * i + 1]))
+            row_r = rows_r[i]
+            num[i + j] += sum(map(mul, row_r, h_j[i : i + len(row_r)]))
     return num
+
+
+def _kernel(r: int, s: int, weights: list[int], cells: _Cells) -> list[int]:
+    """num[t], the sum of the null cells (i, j) with i + j = t: _cross with
+    the side rows W_b[p][k], the ordered b-tuples summing to k with largest
+    part p, and the link weights[k1 + k2]. Costs O(t * K^2) steps for
+    i + j <= t, K = len(weights) - 1; raises BudgetExceededError, before any
+    work, above WORK_BUDGET steps.
+    """
+    length = len(weights) - 1
+    i_rows = range(min(c[1] for c in cells), max(c[2] for c in cells) + 1)
+    steps = sum(min(r * i, length) - i + 1 for i in i_rows)
+    steps += sum(min(s * j, length) - j + 1 for j, _, _ in cells)
+    _check_budget(steps + _cross_steps(r, s, length, cells), "null-kernel")
+
+    rows_r = {i: _side_row(r, i, length) for i in i_rows}
+    rows_s = {j: _side_row(s, j, length) for j, _, _ in cells}
+    return _cross(
+        rows_r, rows_s, lambda k1, lo, hi: weights[k1 + lo : k1 + hi], cells, length
+    )
 
 
 def _exact_pmf(m: int, n: int, r: int, s: int, cells: _Cells) -> list[Fraction]:

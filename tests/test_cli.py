@@ -139,6 +139,21 @@ class TestTestCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("column", ["-3", "-1"])
+    def test_negative_column_index_exits_2(self, tmp_path, capsys, column):
+        two = tmp_path / "two.csv"
+        two.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        code = main(
+            [
+                "test",
+                "--training", str(two), "--training-col", column,
+                "--test", str(two), "--test-col", "1",
+                "--r", "1", "--s", "1",
+            ]
+        )
+        assert code == 2
+        assert "input error:" in capsys.readouterr().err
+
 
 class TestNullDistCommand:
     def test_tiny_table(self, tmp_path):
@@ -330,3 +345,12 @@ class TestCompareCommand:
              "--gamma", "2", "--statistics", "T,W"]
         )
         assert code == 3
+
+
+def test_power_and_compare_csv_match_pinned_outputs(data_dir, capsys):
+    """`power --method exact` and a seeded `compare` print the CSV recorded
+    before `power` and `compare` shared one command and one row builder."""
+    pinned = json.loads((data_dir / "pinned_outputs.json").read_text())["cli"]
+    for case in pinned:
+        assert main(case["argv"]) == 0
+        assert capsys.readouterr().out == case["csv"]

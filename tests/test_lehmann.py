@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -220,3 +221,14 @@ class TestExactPower:
     def test_alpha_validation(self):
         with pytest.raises(ParameterError):
             exact_power(10, 10, 1, 1, 2.0, 0.0)
+
+
+def test_pmfs_and_powers_match_pinned_outputs(data_dir):
+    """pmfs and exact powers equal, bit for bit, the values recorded before
+    the Lehmann law shared the null kernel's cross step: r = 1, r != s and
+    n >> m among the shapes."""
+    pinned = json.loads((data_dir / "pinned_outputs.json").read_text())["lehmann"]
+    for case in pinned:
+        m, n, r, s, gamma = case["shape"]
+        assert list(alternative_distribution(m, n, r, s, gamma).pmf_values) == case["pmf"]
+        assert exact_power(m, n, r, s, gamma, 0.05) == case["exact_power"]

@@ -13,6 +13,7 @@ import null_oracle
 from maxpe import null_dist
 from maxpe.errors import BudgetExceededError
 from maxpe.inference import critical_value
+from maxpe.lehmann import alternative_distribution
 from maxpe.null_dist import asymptotic_null_cdf, joint_PE_pmf, null_distribution
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,8 +48,8 @@ def test_asymptotic_matches_direct_accumulation(r, s):
             assert asymptotic_null_cdf(r, s, t, n_max) == pytest.approx(expected, rel=1e-14)
 
 
-def _counted_steps(r, s, weights, cells, monkeypatch):
-    """Multiply-adds and side-table entries the kernel actually performs."""
+def _counted_steps(run, monkeypatch):
+    """Cross multiply-adds and null side-table entries that run() performs."""
     count = [0]
 
     def counting(fn):
@@ -64,22 +65,29 @@ def _counted_steps(r, s, weights, cells, monkeypatch):
             null_dist, "exact_max_composition_count",
             counting(null_dist.exact_max_composition_count),
         )
-        null_dist._kernel(r, s, weights, cells)
+        run()
     return count[0]
 
 
-@pytest.mark.parametrize("r,s,length", [(1, 1, 9), (2, 3, 12), (4, 4, 20), (5, 2, 11)])
+@pytest.mark.parametrize(
+    "r,s,length", [(1, 1, 9), (2, 3, 12), (4, 4, 20), (5, 2, 11), (1, 5, 7), (1, 1, 30)]
+)
 def test_budget_counts_the_work_done(r, s, length, monkeypatch):
     weights = [1] * (length + 1)
     grids = [[(j, 0, top - j) for j in range(top + 1)] for top in (length, length // 2, 0)]
     grids += [[(2, 3, 3)], [(0, length, length)], [(length, 0, 0)]]
     for cells in grids:
-        steps = _counted_steps(r, s, weights, cells, monkeypatch)
+        steps = _counted_steps(lambda: null_dist._kernel(r, s, weights, cells), monkeypatch)
         monkeypatch.setattr(null_dist, "WORK_BUDGET", steps)
         null_dist._kernel(r, s, weights, cells)
         monkeypatch.setattr(null_dist, "WORK_BUDGET", steps - 1)
         with pytest.raises(BudgetExceededError):
             null_dist._kernel(r, s, weights, cells)
+
+    def lehmann():  # the same cross step over the full grid
+        alternative_distribution(length, length + r + s, r, s, 2.0)
+
+    assert _counted_steps(lehmann, monkeypatch) == null_dist._cross_steps(r, s, length, grids[0])
 
 
 def test_budget_refuses_before_working():
