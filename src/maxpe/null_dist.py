@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_LIMIT = 10**7
-# steps of one exact law: side-table entries, cross multiply-adds and, for the
-# Lehmann law, Beta-sum terms
+# steps of one exact law: side-table entries and cross multiply-adds; the
+# Lehmann law also counts its tables and Beta-sum terms, weighed by their cost
 WORK_BUDGET = 10**8
 
 
@@ -47,23 +47,18 @@ def _check_budget(steps: int, law: str) -> None:
 
 
 class _Law:
-    """pmf/cdf lookups shared by the null and Lehmann laws.
-
-    A subclass is a frozen dataclass with pmf_values on the support
-    0..len(pmf_values) - 1 and a cdf_values field that _set_cdf fills; _zero
-    and _one are 0 and 1 in its number type. A truncated table (complete
-    False) refuses lookups beyond its support.
+    """support, pmf/cdf lookups and the cdf build shared by the null and
+    Lehmann laws: frozen dataclasses with pmf_values on the support
+    0..len(pmf_values) - 1 and a cdf_values field that _set_cdf fills. Each
+    law answers off its support in its own number type, in _off_support(t,
+    value), value being 0 below the support and, for a cdf, 1 above it.
     """
 
-    complete = True
-    _zero: Any
-    _one: Any
-
-    def _set_cdf(self) -> Any:
-        """Store the running sums of pmf_values, capped at 1, as cdf_values,
+    def _set_cdf(self, one: Any) -> Any:
+        """Store the running sums of pmf_values, capped at one, as cdf_values,
         and return their uncapped total."""
-        sums = list(accumulate(self.pmf_values, initial=self._zero))
-        object.__setattr__(self, "cdf_values", tuple(min(c, self._one) for c in sums[1:]))
+        sums = list(accumulate(self.pmf_values, initial=0 * one))
+        object.__setattr__(self, "cdf_values", tuple(min(c, one) for c in sums[1:]))
         return sums[-1]
 
     @property
@@ -73,18 +68,12 @@ class _Law:
     def pmf(self, t: int) -> Any:
         if 0 <= t < len(self.pmf_values):
             return self.pmf_values[t]
-        if self.complete or t < 0:
-            return self._zero
-        raise ParameterError(f"t = {t} beyond the truncated support")
+        return self._off_support(t, 0)
 
     def cdf(self, t: int) -> Any:
-        if t < 0:
-            return self._zero
-        if t < len(self.cdf_values):
+        if 0 <= t < len(self.cdf_values):
             return self.cdf_values[t]
-        if self.complete:
-            return self._one
-        raise ParameterError(f"t = {t} beyond the truncated support")
+        return self._off_support(t, 0 if t < 0 else 1)
 
 
 @dataclass(frozen=True)
@@ -94,9 +83,6 @@ class NullDistribution(_Law):
     When built with a truncated support (complete=False) the tables cover
     {0..t_max} only and the normalization invariants are not enforced.
     """
-
-    _zero = Fraction(0)
-    _one = Fraction(1)
 
     m: int
     n: int
@@ -109,12 +95,18 @@ class NullDistribution(_Law):
     def __post_init__(self) -> None:
         if any(p < 0 for p in self.pmf_values):
             raise ParameterError("pmf entries must be non-negative")
-        total = self._set_cdf()
+        total = self._set_cdf(Fraction(1))
         if self.complete:
             if len(self.pmf_values) != self.m + 1:
                 raise ParameterError("complete support must cover 0..m")
             if total != 1:
                 raise ParameterError(f"pmf sums to {total}, expected exactly 1")
+
+    def _off_support(self, t: int, value: int) -> Fraction:
+        """value, unless the table is truncated and t lies above it."""
+        if t >= 0 and not self.complete:
+            raise ParameterError(f"t = {t} beyond the truncated support")
+        return Fraction(value)
 
     def tail(self, t: int) -> Fraction:
         """P[T >= t]."""

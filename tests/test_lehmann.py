@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lehmann_oracle
+from maxpe import lehmann
 from maxpe.errors import BudgetExceededError, NumericalError, ParameterError
 from maxpe.inference import (
     AlternativeSpec,
@@ -109,6 +110,18 @@ class TestAlternativeDistribution:
         with pytest.raises(BudgetExceededError):
             alternative_distribution(400, 400, 40, 40, 2.0)
         assert time.perf_counter() - start < 1.0  # refused before any work
+
+    @pytest.mark.parametrize("m,n", [(5000, 5002), (5000, 2), (3000, 2), (1000, 1002)])
+    def test_budget_counts_the_tables(self, m, n, monkeypatch):
+        # r = s = 1 makes only O(m^2) cross multiply-adds, so the O(m^2)
+        # tables and the Beta-sum terms must carry the count
+        def no_work(*args):
+            raise AssertionError("a table was built before the budget check")
+
+        monkeypatch.setattr(lehmann, "_beta_sum_table", no_work)
+        monkeypatch.setattr(lehmann, "_side", no_work)
+        with pytest.raises(BudgetExceededError):
+            alternative_distribution(m, n, 1, 1, 2.0)
 
     def test_bad_pmf_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="sums to"):
