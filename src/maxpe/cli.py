@@ -427,8 +427,6 @@ def cmd_power(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--reps", type=int, default=100_000, help="Monte-Carlo replicates")
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
@@ -450,6 +448,8 @@ def _add_power_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shape", type=float, help="Weibull shape (fixed)")
     parser.add_argument("--scale", type=_float_list, help="Weibull scales")
     parser.add_argument("--method", choices=("exact", "mc"), default="mc")
+    parser.add_argument("--seed", type=int, default=0, help="random seed")
+    parser.add_argument("--reps", type=int, default=100_000, help="Monte-Carlo replicates")
     parser.add_argument(
         "--curve-dir", default=None, help="also write one curve CSV per (r, s)"
     )
@@ -473,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--s", type=int, default=None)
     p_test.add_argument("--rho1", type=float, default=None)
     p_test.add_argument("--rho2", type=float, default=None)
+    p_test.add_argument("--seed", type=int, default=0, help="seeds the randomized decision")
     _add_common(p_test)
     p_test.set_defaults(func=cmd_test)
 
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_null.add_argument("--r", type=int, required=True)
     p_null.add_argument("--s", type=int, required=True)
     p_null.add_argument("--t-max", type=int, default=None)
-    _add_common(p_null)
+    _add_common(p_null)  # its --alpha is unread, but callers pass it
     p_null.set_defaults(func=cmd_null_dist)
 
     p_crit = sub.add_parser("critical-values", help="tabulate exact critical values")

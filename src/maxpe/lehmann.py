@@ -6,15 +6,17 @@ S(n1, t) = sum_l (-1)^l C(q, l) B(n1 + r*gamma + gamma*l, m - t + 1), over
 the cell-count factorials; n1 is the precedence total, t the total of all
 cells, q = n - r - s. The pmf comes from three polynomial passes over
 positive quantities, so nothing cancels in floating point: side tables by a
-recurrence over (partial sum, running max) states, a table of S in which
-only the diagonal is an alternating sum (evaluated in mpmath), and the null
-kernel's O(m^3) cross step. gamma = 1 recovers the exact null.
+recurrence over (partial sum, running max) states, returned by largest cell;
+the link weights, each row from a row of S summed from the row below, so
+that only the diagonal of S is an alternating sum (evaluated in mpmath);
+and the null kernel's O(m^3) cross step. gamma = 1 recovers the exact null.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Iterable
 
 from .combinatorics import log_beta
@@ -114,32 +116,33 @@ def _log_chain(cells: Iterable[int], log_factor: _LogFactor) -> float:
 
 
 def _side(length: int, m: int, log_factor: _LogFactor) -> tuple[list[float], list[list[float]]]:
-    """(scale, w): exp(scale[t]) * w[t][i] sums, over the vectors of `length`
-    cells with total t and largest cell i, their chain factors over their cell
-    factorials. Rows peak at 1, so floats neither overflow nor underflow; a
-    cell added to state (t, i) costs t + 1 multiply-adds."""
+    """(scale, rows): exp(scale[t]) * rows[i][t - i] sums, over the vectors of
+    `length` cells with total t and largest cell i, their chain factors over
+    their cell factorials; row i covers the band i..min(length * i, m) outside
+    of which every such sum is 0. Each total's entries peak at 1, so floats
+    neither overflow nor underflow; a cell added to state (t, i) costs t + 1
+    multiply-adds."""
     scale = [0.0] + [-math.inf] * m
-    w = [[1.0]] + [[0.0] * (t + 1) for t in range(1, m + 1)]
+    w = [[1.0]] * (m + 1)  # w[total][largest]; unreached totals are not read
     for k in range(length):
-        moves = {
-            (t, v): scale[t] + log_factor(k, t, v) - math.lgamma(v + 1)
-            for t in range(m + 1)
-            if scale[t] > -math.inf
-            for v in range(m - t + 1)
-        }
-        top = [-math.inf] * (m + 1)
-        for (t, v), log_move in moves.items():
-            top[t + v] = max(top[t + v], log_move)
-        new = [[0.0] * (t + 1) for t in range(m + 1)]
-        for (t, v), log_move in moves.items():
-            c, row, out = math.exp(log_move - top[t + v]), w[t], new[t + v]
-            out[v] += c * sum(row[:v])  # a cell above the running max sets it
-            out[v : t + 1] = [o + c * x for o, x in zip(out[v : t + 1], row[v:])]
-        for t, row in enumerate(new):  # the first cell reaches every t
-            peak = max(row)
-            scale[t] = top[t] + math.log(peak)
-            w[t] = [x / peak for x in row]
-    return scale, w
+        # totals high to low: total u reads only the states t <= u, not yet
+        # replaced, and adds their moves with t ascending
+        for u in range(m, -1, -1):
+            moves = [
+                (t, scale[t] + log_factor(k, t, u - t) - math.lgamma(u - t + 1))
+                for t in range(u + 1)
+                if scale[t] > -math.inf
+            ]
+            top = max(log_move for _, log_move in moves)
+            out = [0.0] * (u + 1)
+            for t, log_move in moves:
+                v, c, row = u - t, math.exp(log_move - top), w[t]
+                out[v] += c * sum(row[:v])  # a cell above the running max sets it
+                out[v : t + 1] = [o + c * x for o, x in zip(out[v : t + 1], row[v:])]
+            peak = max(out)
+            scale[u] = top + math.log(peak)
+            w[u] = [x / peak for x in out]
+    return scale, [[w[t][i] for t in range(i, min(length * i, m) + 1)] for i in range(m + 1)]
 
 
 def _log_lower_bound(a: float, b: int, q: int, gamma: float) -> float:
@@ -202,19 +205,10 @@ def _beta_sums(
     return sums
 
 
-def _beta_sum_table(m: int, q: int, r: int, gamma: float) -> tuple[list[list[float]], float]:
-    """ln S(n1, t) for 0 <= n1 <= t <= m, as table[n1][t], and the worst
-    condition of its diagonal; off the diagonal every entry is the sum of
-    two positive neighbours nearer to it."""
-    diagonal = _beta_sums(0, m + 1, q, r, gamma, m + 1)
-    table = [[0.0] * (m + 1) for _ in range(m + 1)]
-    for t, (log_value, _) in enumerate(diagonal):
-        table[t][t] = log_value
-    for d in range(1, m + 1):
-        for n1 in range(m - d + 1):
-            lo, hi = sorted((table[n1][n1 + d - 1], table[n1 + 1][n1 + d]))
-            table[n1][n1 + d] = hi + math.log1p(math.exp(lo - hi))
-    return table, max(condition for _, condition in diagonal)
+def _log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b)."""
+    lo, hi = sorted((a, b))
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 def _log_counts(m: int, n: int, r: int, s: int, gamma: float) -> tuple[float, list[float]]:
@@ -248,21 +242,15 @@ def _steps(m: int, n: int, r: int, s: int, cells: list[tuple[int, int, int]]) ->
     cube = math.comb(m + 3, 3)  # sum of t + 1 over the (t, v) moves of one cell
     terms = n - r - s + 1 if n > r + s else 0  # Beta-sum terms, none when q = 0
     # a side's first cell makes m + 1 moves from t = 0 and each later one tri,
-    # and each cell normalizes a tri-entry table; the Beta-sum and link tables;
+    # and each cell normalizes a tri-entry table; the rows of S and the link table;
     # one sum per H_j entry and per cell of the cross step; per Beta-sum term,
     # m + 1 magnitudes, then 3m + 2 high-precision products
     entries = 2 * (m + 1) + (2 * (r + s) + 2) * tri + terms * (m + 1)
     products = terms * (3 * m + 2)
-    # multiply-adds: t + 1 per side-table move, _by_peak's copy of at most tri
-    # entries per side, and the cross step
+    # multiply-adds: t + 1 per side-table move, _side's copy of at most tri
+    # entries per side into rows by largest cell, and the cross step
     adds = 2 * (m + 1) + (r + s - 2) * cube + 2 * tri + _cross_steps(r, s, m, cells)
     return adds + _ENTRY_STEPS * entries + _MP_STEPS * products
-
-
-def _by_peak(w: list[list[float]], boxes: int, m: int) -> list[list[float]]:
-    """w[total][peak] of _side read by largest cell: row p holds the totals
-    p..min(boxes * p, m), the band outside of which every entry is 0."""
-    return [[w[t][p] for t in range(p, min(boxes * p, m) + 1)] for p in range(m + 1)]
 
 
 def alternative_distribution(
@@ -274,33 +262,41 @@ def alternative_distribution(
        total n1 (n2) and largest cell i (j): (r + s) m^3 / 6 steps;
     2. the Beta sums S(n1, t) from S(n1, t) = S(n1, t-1) + S(n1+1, t), with
        only the m + 1 diagonal sums evaluated, in mpmath: 3 (q + 1) m products;
+       rows n1 = m..0 each come from the row below and feed link row n1 at
+       once, so no table of S is kept;
     3. the null kernel's cross step: H_j[n1] = sum_n2 E[n2][j] S(n1, n1 + n2)
        / (m - n1 - n2)!, once per j, and pmf[i + j] += P[n1][i] H_j[n1], each
        sum over the band n2 <= s*j (n1 <= r*i) where the side entry can be
        nonzero: at most m^3 / 3 multiply-adds, (m + 1)(m + 2) when r = s = 1.
 
-    Each pass also builds O(m^2) tables, which _steps counts with the passes.
-    Raises BudgetExceededError, before any work, above WORK_BUDGET steps.
+    Passes 1 and 2 also build O(m^2) tables, a side's by-total triangle and
+    the link table, which _steps counts with the passes. Raises
+    BudgetExceededError, before any work, above WORK_BUDGET steps, and a
+    failed diagonal Beta sum is a NumericalError before any table is built.
     """
     _validate(m, n, r, s, gamma)
     cells = [(j, 0, m - j) for j in range(m + 1)]
     _check_budget(_steps(m, n, r, s, cells), "Lehmann-law")
-    log_s, condition = _beta_sum_table(m, n - r - s, r, gamma)
-    scale_p, w_p = _side(r, m, _precedence_factor(gamma))
-    scale_e, w_e = _side(s, m, _exceedance_factor(m, n, s, gamma))
+    diagonal = _beta_sums(0, m + 1, n - r - s, r, gamma, m + 1)  # (ln S(t, t), condition)
+    scale_p, rows_p = _side(r, m, _precedence_factor(gamma))
+    scale_e, rows_e = _side(s, m, _exceedance_factor(m, n, s, gamma))
     log_c, log_perm = _log_counts(m, n, r, s, gamma)
-    # one (n1, i) group times one (n2, j) group is a probability, so with the
-    # rows peaking at 1 every factor here is at most 1
-    link = [
-        [math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_s[n1][t])
-         for t in range(n1, m + 1)]
-        for n1 in range(m + 1)
-    ]
-    pmf = _cross(
-        _by_peak(w_p, r, m), _by_peak(w_e, s, m), lambda n1, lo, hi: link[n1][lo:hi], cells, m
-    )
+    # link[n1][t - n1] from ln S(n1, t), t = n1..m, whose row is the running
+    # log-sum of the row below: S(n1, t) = S(n1, t-1) + S(n1+1, t). One
+    # (n1, i) group times one (n2, j) group is a probability, so with the
+    # side entries peaking at 1 every factor here is at most 1
+    link: list[list[float]] = [[]] * (m + 1)
+    log_s: list[float] = []
+    for n1 in range(m, -1, -1):
+        log_s = list(accumulate(log_s, _log_add, initial=diagonal[n1][0]))
+        link[n1] = [
+            math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_st)
+            for t, log_st in enumerate(log_s, n1)
+        ]
+    pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, m)
     return AlternativeDistribution(
-        m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf), condition_estimate=condition
+        m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf),
+        condition_estimate=max(condition for _, condition in diagonal),
     )
 
 

@@ -235,6 +235,26 @@ class TestCriticalValuesCommand:
         assert len(rows) == 1 and rows[0]["c"] == "8"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-values", "--m", "10", "--n", "10", "--rho", "0.05", "--seed", "1"],
+        ["critical-values", "--m", "5", "--n", "5", "--rho", "0.1", "--reps", "10"],
+        ["null-dist", "--m", "5", "--n", "5", "--r", "1", "--s", "1", "--seed", "1"],
+        ["null-dist", "--m", "5", "--n", "5", "--r", "1", "--s", "1", "--reps", "10"],
+        ["test", "--training", "x.txt", "--test", "y.txt", "--reps", "10"],
+    ],
+    ids=["critical-values-seed", "critical-values-reps", "null-dist-seed", "null-dist-reps",
+         "test-reps"],
+)
+def test_options_nothing_reads_exit_2(argv, capsys):
+    # refused by argparse rather than parsed and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 class TestPowerCommand:
     def test_exact_lehmann_grid(self, tmp_path):
         out = tmp_path / "power.csv"

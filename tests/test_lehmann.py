@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,10 +119,24 @@ class TestAlternativeDistribution:
         def no_work(*args):
             raise AssertionError("a table was built before the budget check")
 
-        monkeypatch.setattr(lehmann, "_beta_sum_table", no_work)
+        # the diagonal Beta sums are the law's first work
+        monkeypatch.setattr(lehmann, "_beta_sums", no_work)
         monkeypatch.setattr(lehmann, "_side", no_work)
         with pytest.raises(BudgetExceededError):
             alternative_distribution(m, n, 1, 1, 2.0)
+
+    def test_memory_stays_below_two_link_tables(self):
+        # the link table, (m + 1)(m + 2) / 2 floats of about 32 B with their
+        # list slots, is the one O(m^2) table the cross step reads; no
+        # staging table may hold as much again at the same time
+        m = 300
+        tracemalloc.start()
+        try:
+            alternative_distribution(m, 2, 1, 1, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 32 * (m + 1) * (m + 2) // 2
 
     def test_bad_pmf_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="sums to"):
