@@ -1,8 +1,9 @@
 """Command-line interface: run tests on data files, tabulate distributions,
 critical values, and power estimates.
 
-Exit codes: 0 success, 2 malformed input, 3 parameter/constraint violation,
-4 exact-computation budget exceeded, 5 a result failed its numerical checks.
+Exit codes: 0 success, 2 malformed input or an output path that cannot be
+written, 3 parameter/constraint violation, 4 exact-computation budget
+exceeded, 5 a result failed its numerical checks.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -147,6 +147,8 @@ def _format_cell(value) -> str:
 
 def _emit(args, header: Sequence[str], rows: list[dict], config: dict) -> None:
     if args.format == "json":
+        import json
+
         payload = {"config": config, "results": rows}
         text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     else:
@@ -526,6 +528,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # a failed read is already an InputFormatError
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

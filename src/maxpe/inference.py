@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
@@ -56,22 +56,20 @@ _MIN_CALIBRATION_REPS = 10**4
 Number = Union[float, Fraction]
 
 
-@dataclass(frozen=True)
-class SeededRng:
+class SeededRng(namedtuple("SeededRng", "seed stream")):
     """Reproducible random source: a Philox key (seed, stream).
 
     Identical (seed, stream) pairs reproduce identical draw sequences on
     any platform; distinct streams are statistically independent.
     """
 
-    seed: int
-    stream: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("seed", "stream"):
-            v = getattr(self, name)
+    def __new__(cls, seed: int, stream: int = 0) -> "SeededRng":
+        for name, v in (("seed", seed), ("stream", stream)):
             if not 0 <= v < _U64:
                 raise ParameterError(f"{name} must be an unsigned 64-bit integer")
+        return super().__new__(cls, seed, stream)
 
     def generator(self, purpose: int = 0, block: int = 0) -> np.random.Generator:
         """Generator for one (purpose, block) cell of the counter space.
@@ -88,8 +86,9 @@ class SeededRng:
         return np.random.Generator(bit_generator)
 
 
-@dataclass(frozen=True)
-class AlternativeSpec:
+class AlternativeSpec(
+    namedtuple("AlternativeSpec", "kind gamma rate shape scale varied")
+):
     """How to draw a sample pair: Lehmann, exponential, or Weibull.
 
     The varied parameter (gamma, rate, or scale) applies to the group named
@@ -97,29 +96,34 @@ class AlternativeSpec:
     exponential, or unit-scale Weibull of the same shape).
     """
 
-    kind: str
-    gamma: Optional[float] = None
-    rate: Optional[float] = None
-    shape: Optional[float] = None
-    scale: Optional[float] = None
-    varied: str = "test"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("lehmann", "exponential", "weibull"):
-            raise ParameterError(f"unknown alternative kind {self.kind!r}")
-        if self.varied not in ("test", "training"):
+    def __new__(
+        cls,
+        kind: str,
+        gamma: Optional[float] = None,
+        rate: Optional[float] = None,
+        shape: Optional[float] = None,
+        scale: Optional[float] = None,
+        varied: str = "test",
+    ) -> "AlternativeSpec":
+        self = super().__new__(cls, kind, gamma, rate, shape, scale, varied)
+        if kind not in ("lehmann", "exponential", "weibull"):
+            raise ParameterError(f"unknown alternative kind {kind!r}")
+        if varied not in ("test", "training"):
             raise ParameterError("varied group must be 'test' or 'training'")
         required = {
             "lehmann": ("gamma",),
             "exponential": ("rate",),
             "weibull": ("shape", "scale"),
-        }[self.kind]
+        }[kind]
         for name in required:
             value = getattr(self, name)
             if value is None or not (value > 0 and math.isfinite(value)):
                 raise ParameterError(
-                    f"{self.kind} alternative needs positive {name}, got {value}"
+                    f"{kind} alternative needs positive {name}, got {value}"
                 )
+        return self
 
     @classmethod
     def lehmann(cls, gamma: float, varied: str = "test") -> "AlternativeSpec":
@@ -155,8 +159,7 @@ class CriticalValue(NamedTuple):
     alpha2: Number
 
 
-@dataclass(frozen=True)
-class RandomizedDecision:
+class RandomizedDecision(NamedTuple):
     """Outcome of the randomized rule: reject at or above c, randomize at c-1."""
 
     t_observed: int

@@ -15,9 +15,9 @@ and the null kernel's O(m^3) cross step. gamma = 1 recovers the exact null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .combinatorics import log_beta
 from .errors import NumericalError, ParameterError
@@ -44,8 +44,13 @@ _NORMALIZATION_SLACK = 1e-6
 _LogFactor = Callable[[int, int, int], float]
 
 
-@dataclass(frozen=True)
-class AlternativeDistribution(_Law):
+class AlternativeDistribution(
+    _Law,
+    namedtuple(
+        "AlternativeDistribution",
+        "m n r s gamma pmf_values condition_estimate cdf_values",
+    ),
+):
     """pmf of the statistic under G = F^gamma, with a cancellation diagnostic.
 
     condition_estimate is the largest ratio of the summed term magnitudes of
@@ -53,30 +58,28 @@ class AlternativeDistribution(_Law):
     in working precision magnifies rounding (1 means nothing cancels).
     """
 
-    m: int
-    n: int
-    r: int
-    s: int
-    gamma: float
-    pmf_values: tuple[float, ...]
-    condition_estimate: float
-    cdf_values: tuple[float, ...] = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(p < -_PMF_SLACK or p > 1 + _PMF_SLACK for p in self.pmf_values):
+    def __new__(
+        cls, m: int, n: int, r: int, s: int, gamma: float, pmf_values: Sequence[float],
+        condition_estimate: float,
+    ) -> "AlternativeDistribution":
+        if any(p < -_PMF_SLACK or p > 1 + _PMF_SLACK for p in pmf_values):
             raise NumericalError(
                 "pmf entries escaped [0, 1] beyond numerical slack; "
-                f"condition estimate was {self.condition_estimate:.3g}"
+                f"condition estimate was {condition_estimate:.3g}"
             )
-        total = math.fsum(self.pmf_values)
+        total = math.fsum(pmf_values)
         if abs(total - 1.0) > _NORMALIZATION_SLACK:
             raise NumericalError(
                 f"pmf sums to {total!r}, outside 1 +/- {_NORMALIZATION_SLACK}; "
-                f"condition estimate was {self.condition_estimate:.3g}"
+                f"condition estimate was {condition_estimate:.3g}"
             )
-        clamped = tuple(min(1.0, max(0.0, p)) for p in self.pmf_values)
-        object.__setattr__(self, "pmf_values", clamped)
-        self._set_cdf(1.0)
+        clamped = tuple(min(1.0, max(0.0, p)) for p in pmf_values)
+        cdf_values, _ = cls._cdf(clamped, 1.0)
+        return super().__new__(
+            cls, m, n, r, s, gamma, clamped, condition_estimate, cdf_values
+        )
 
     def _off_support(self, t: int, value: int) -> float:
         return float(value)
@@ -121,10 +124,13 @@ def _side(length: int, m: int, log_factor: _LogFactor) -> tuple[list[float], lis
     their cell factorials; row i covers the band i..min(length * i, m) outside
     of which every such sum is 0. Each total's entries peak at 1, so floats
     neither overflow nor underflow; a cell added to state (t, i) costs t + 1
-    multiply-adds."""
+    multiply-adds. The last cell keeps total t's entries only from its least
+    largest cell lo[t] = ceil(t / length) on, so one cell keeps m + 1 floats."""
+    lo = [-(-t // length) for t in range(m + 1)]
     scale = [0.0] + [-math.inf] * m
-    w = [[1.0]] * (m + 1)  # w[total][largest]; unreached totals are not read
+    w = [[1.0]] * (m + 1)  # w[total][largest - first[total]]; unreached totals unread
     for k in range(length):
+        first = lo if k == length - 1 else [0] * (m + 1)
         # totals high to low: total u reads only the states t <= u, not yet
         # replaced, and adds their moves with t ascending
         for u in range(m, -1, -1):
@@ -141,8 +147,10 @@ def _side(length: int, m: int, log_factor: _LogFactor) -> tuple[list[float], lis
                 out[v : t + 1] = [o + c * x for o, x in zip(out[v : t + 1], row[v:])]
             peak = max(out)
             scale[u] = top + math.log(peak)
-            w[u] = [x / peak for x in out]
-    return scale, [[w[t][i] for t in range(i, min(length * i, m) + 1)] for i in range(m + 1)]
+            w[u] = [x / peak for x in out[first[u] :]]
+    return scale, [
+        [w[t][i - lo[t]] for t in range(i, min(length * i, m) + 1)] for i in range(m + 1)
+    ]
 
 
 def _log_lower_bound(a: float, b: int, q: int, gamma: float) -> float:

@@ -12,7 +12,7 @@ the composition-count formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -48,18 +48,23 @@ def _check_budget(steps: int, law: str) -> None:
 
 class _Law:
     """support, pmf/cdf lookups and the cdf build shared by the null and
-    Lehmann laws: frozen dataclasses with pmf_values on the support
-    0..len(pmf_values) - 1 and a cdf_values field that _set_cdf fills. Each
-    law answers off its support in its own number type, in _off_support(t,
-    value), value being 0 below the support and, for a cdf, 1 above it.
+    Lehmann laws: tuple records with pmf_values on the support
+    0..len(pmf_values) - 1 and, last, the cdf_values that _cdf forms before
+    the record is built. Each law answers off its support in its own number
+    type, in _off_support(t, value), value being 0 below the support and,
+    for a cdf, 1 above it.
     """
 
-    def _set_cdf(self, one: Any) -> Any:
-        """Store the running sums of pmf_values, capped at one, as cdf_values,
-        and return their uncapped total."""
-        sums = list(accumulate(self.pmf_values, initial=0 * one))
-        object.__setattr__(self, "cdf_values", tuple(min(c, one) for c in sums[1:]))
-        return sums[-1]
+    __slots__ = ()
+
+    @staticmethod
+    def _cdf(pmf_values: Sequence[Any], one: Any) -> tuple[tuple[Any, ...], Any]:
+        """The running sums of pmf_values, capped at one, and their uncapped total."""
+        sums = list(accumulate(pmf_values, initial=0 * one))
+        return tuple(min(c, one) for c in sums[1:]), sums[-1]
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)[:-1]  # copies and pickles rebuild cdf_values
 
     @property
     def support(self) -> range:
@@ -76,31 +81,30 @@ class _Law:
         return self._off_support(t, 0 if t < 0 else 1)
 
 
-@dataclass(frozen=True)
-class NullDistribution(_Law):
+class NullDistribution(
+    _Law, namedtuple("NullDistribution", "m n r s pmf_values complete cdf_values")
+):
     """Exact pmf/cdf of the statistic on its support {0..m}.
 
     When built with a truncated support (complete=False) the tables cover
     {0..t_max} only and the normalization invariants are not enforced.
     """
 
-    m: int
-    n: int
-    r: int
-    s: int
-    pmf_values: tuple[Fraction, ...]
-    complete: bool = True
-    cdf_values: tuple[Fraction, ...] = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.pmf_values):
+    def __new__(
+        cls, m: int, n: int, r: int, s: int, pmf_values: Sequence[Fraction],
+        complete: bool = True,
+    ) -> "NullDistribution":
+        if any(p < 0 for p in pmf_values):
             raise ParameterError("pmf entries must be non-negative")
-        total = self._set_cdf(Fraction(1))
-        if self.complete:
-            if len(self.pmf_values) != self.m + 1:
+        cdf_values, total = cls._cdf(pmf_values, Fraction(1))
+        if complete:
+            if len(pmf_values) != m + 1:
                 raise ParameterError("complete support must cover 0..m")
             if total != 1:
                 raise ParameterError(f"pmf sums to {total}, expected exactly 1")
+        return super().__new__(cls, m, n, r, s, pmf_values, complete, cdf_values)
 
     def _off_support(self, t: int, value: int) -> Fraction:
         """value, unless the table is truncated and t lies above it."""

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
 
@@ -41,20 +41,21 @@ __all__ = [
 SampleLike = Union["Sample", Sequence[float], Iterable[float]]
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One group's observations, unordered, with an optional label."""
+class Sample(namedtuple("Sample", "values label")):
+    """One group's observations, unordered, with an optional label.
 
-    values: tuple[float, ...]
-    label: str = ""
+    len() counts the values, not the record's two fields.
+    """
 
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+    __slots__ = ()
+
+    def __new__(cls, values: Iterable[float], label: str = "") -> "Sample":
+        vals = tuple(float(v) for v in values)
         if not vals:
             raise ParameterError("a sample must contain at least one observation")
         if not all(math.isfinite(v) for v in vals):
-            raise ParameterError(f"sample {self.label!r} contains non-finite values")
-        object.__setattr__(self, "values", vals)
+            raise ParameterError(f"sample {label!r} contains non-finite values")
+        return super().__new__(cls, vals, label)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -66,34 +67,28 @@ def as_sample(data: SampleLike, label: str = "") -> Sample:
     return Sample(tuple(data), label)
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(namedtuple("FrequencyVector", "f_p f_e m n r s")):
     """Per-cell counts of X values in the precedence and exceedance cells."""
 
-    f_p: tuple[int, ...]
-    f_e: tuple[int, ...]
-    m: int
-    n: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "f_p", tuple(int(v) for v in self.f_p))
-        object.__setattr__(self, "f_e", tuple(int(v) for v in self.f_e))
-        if self.r < 1 or self.s < 1:
+    def __new__(
+        cls, f_p: Iterable[int], f_e: Iterable[int], m: int, n: int, r: int, s: int
+    ) -> "FrequencyVector":
+        self = super().__new__(
+            cls, tuple(int(v) for v in f_p), tuple(int(v) for v in f_e), m, n, r, s
+        )
+        if r < 1 or s < 1:
             raise ParameterError("r and s must be positive")
-        if self.r + self.s > self.n:
-            raise ParameterError(
-                f"r + s = {self.r + self.s} exceeds the test-sample size n = {self.n}"
-            )
-        if len(self.f_p) != self.r or len(self.f_e) != self.s:
+        if r + s > n:
+            raise ParameterError(f"r + s = {r + s} exceeds the test-sample size n = {n}")
+        if len(self.f_p) != r or len(self.f_e) != s:
             raise ParameterError("frequency vector lengths must equal r and s")
         if any(v < 0 for v in self.f_p + self.f_e):
             raise ParameterError("cell counts must be non-negative")
-        if self.total > self.m:
-            raise ParameterError(
-                f"cell counts sum to {self.total}, more than m = {self.m}"
-            )
+        if self.total > m:
+            raise ParameterError(f"cell counts sum to {self.total}, more than m = {m}")
+        return self
 
     @property
     def total_precedence(self) -> int:
@@ -116,8 +111,7 @@ class FrequencyVector:
         return max(self.f_e)
 
 
-@dataclass(frozen=True)
-class StatisticBundle:
+class StatisticBundle(NamedTuple):
     """All statistics computed from one ordered pair of samples.
 
     max_sum = max_precedence + max_exceedance is the primary two-sided

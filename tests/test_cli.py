@@ -196,6 +196,15 @@ class TestNullDistCommand:
     def test_invalid_parameters_exit_3(self):
         assert main(["null-dist", "--m", "5", "--n", "3", "--r", "2", "--s", "2"]) == 3
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dist.csv"
+        code = main(["null-dist", "--m", "5", "--n", "5", "--r", "1", "--s", "1",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+
 
 class TestCriticalValuesCommand:
     def test_rate_grid_row(self, tmp_path):
@@ -299,6 +308,17 @@ class TestPowerCommand:
         assert files == ["curve_T_r1_s1.csv", "curve_T_r2_s2.csv"]
         rows = _read_csv(curves / "curve_T_r1_s1.csv")
         assert [float(row["param"]) for row in rows] == [2.0, 5.0]
+
+    def test_curve_dir_under_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(
+            ["power", "--m", "8", "--n", "8", "--r", "1", "--s", "1",
+             "--gamma", "2", "--reps", "1000", "--curve-dir", str(blocker / "curves")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and len(err.splitlines()) == 1
 
     def test_exact_budget_exits_4(self, capsys):
         start = time.perf_counter()

@@ -138,6 +138,19 @@ class TestAlternativeDistribution:
             tracemalloc.stop()
         assert peak < 2 * 32 * (m + 1) * (m + 2) // 2
 
+    def test_one_cell_side_keeps_only_its_band(self):
+        # with one cell, total t has the one largest cell t: the side of
+        # (600, 2, 1, 1) keeps O(m) floats, not a by-total triangle of
+        # (m + 1)(m + 2) / 2 floats of about 32 B (5.5 MiB)
+        m = 600
+        tracemalloc.start()
+        try:
+            lehmann._side(1, m, lehmann._precedence_factor(2.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 32 * (m + 1)
+
     def test_bad_pmf_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="sums to"):
             AlternativeDistribution(
