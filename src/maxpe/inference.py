@@ -6,6 +6,14 @@ stream) pair plus a purpose/block counter prefix fully determines every
 draw. Each block reduces to an integer histogram; blocks run on one thread
 per available CPU (inline on one) and their histograms are summed, so
 results are bit-identical across runs and do not depend on the CPU count.
+
+Blocks draw in rank space. T, V and Q read only the pooled order of the two
+groups, and an increasing map applied to both groups keeps that order, so a
+block never applies one: Weibull blocks keep numpy's standard exponentials
+E (its Weibull draw is E ** (1 / shape), from the same stream) with the
+scale raised to the shape, and Lehmann blocks skip the map x ** (1 / gamma)
+at gamma = 1. Only draws within rounding of each other can change order
+under a skipped map, about 1e-10 per row. sample_pair returns real values.
 """
 
 from __future__ import annotations
@@ -266,17 +274,31 @@ def randomized_decision(
 
 
 def _draw_group(
-    alt: AlternativeSpec, generator: np.random.Generator, shape: tuple, varied: bool
+    alt: AlternativeSpec, generator: np.random.Generator, shape: tuple, varied: bool,
+    ranks: bool = False,
 ) -> np.ndarray:
-    """One group's draws from the baseline, transformed in place if `varied`."""
+    """One group's draws from the baseline, transformed in place if `varied`.
+
+    With `ranks`, Weibull draws are the standard exponentials E that numpy
+    raises to 1 / shape, with the varied group's scale raised to the shape:
+    values in the same pooled order as the real draws, up to rounding.
+    """
     if alt.kind == "lehmann":
         values = generator.random(shape)
-        if varied:
+        if varied and alt.gamma != 1.0:
             values **= 1.0 / alt.gamma
     elif alt.kind == "exponential":
         values = generator.exponential(1.0, shape)
         if varied:
             values *= 1.0 / alt.rate
+    elif ranks:  # weibull
+        values = generator.standard_exponential(shape)
+        # the varied group times scale ** shape, or the other group times its
+        # inverse, whichever factor is below 1 and so cannot overflow
+        if varied and alt.scale < 1:
+            values *= alt.scale ** alt.shape
+        elif not varied and alt.scale > 1:
+            values *= alt.scale ** -alt.shape
     else:  # weibull
         values = generator.weibull(alt.shape, shape)
         if varied:
@@ -321,11 +343,18 @@ def _block_histogram(job: _Job) -> np.ndarray:
 
     x is drawn whole and ordered in place, then y in row chunks of about
     _CHUNK_BYTES: the stream is sequential, so y equals one (rows, n) draw.
+    Both are drawn in rank space (see _draw_group): the statistics read only
+    the pooled order, which an increasing map of both groups, such as
+    numpy's Weibull power E ** (1 / shape), leaves as it is, so no block
+    applies one. The counts equal those of _draw_block's real samples unless
+    two draws of a row lie within rounding of each other.
     """
     import numpy as np
 
     m, n, r, s, statistic = job.cell
-    x = _draw_group(job.alt, job.generator, (job.rows, m), job.alt.varied == "training")
+    x = _draw_group(
+        job.alt, job.generator, (job.rows, m), job.alt.varied == "training", ranks=True
+    )
     if statistic == "V":
         x.partition(m - s, axis=1)
     else:
@@ -334,7 +363,9 @@ def _block_histogram(job: _Job) -> np.ndarray:
     step = max(1, _CHUNK_BYTES // (8 * n))
     for lo in range(0, job.rows, step):
         rows = min(step, job.rows - lo)
-        y = _draw_group(job.alt, job.generator, (rows, n), job.alt.varied == "test")
+        y = _draw_group(
+            job.alt, job.generator, (rows, n), job.alt.varied == "test", ranks=True
+        )
         values = _chunk_statistics(x[lo : lo + step], y, r, s, statistic)
         counts += np.bincount(values, minlength=counts.size)
     return counts
@@ -345,7 +376,9 @@ def _chunk_statistics(
 ) -> np.ndarray:
     """The statistic of every row of one chunk; y is reordered in place.
 
-    Rows of x are sorted for T and Q, and for V partitioned at m - s.
+    Rows of x are sorted for T and Q, and for V partitioned at m - s. For T
+    and Q one sort of each row of y serves both ends: numpy sorts a whole row
+    faster than it partitions it at r - 1 (and n - s) and sorts the two ends.
     """
     import numpy as np
 
@@ -355,11 +388,11 @@ def _chunk_statistics(
         preceding = np.count_nonzero(x <= y[:, r - 1, None], axis=1)
         exceeding = np.count_nonzero(y > x[:, m - s, None], axis=1)
         return preceding + exceeding
-    y.partition([r - 1, n - s] if statistic == "T" else r - 1, axis=1)
-    queries = np.sort(y[:, :r], axis=1)
+    y.sort(axis=1)
+    queries = y[:, :r]
     if statistic == "T":
         # #{x >= v} = m - #{x <= the float just below v}, so one search serves both
-        high = np.nextafter(np.sort(y[:, n - s :], axis=1), -np.inf)
+        high = np.nextafter(y[:, n - s :], -np.inf)
         queries = np.concatenate([queries, high], axis=1)
     below = _count_at_or_below(x, queries)
     max_p = np.diff(below[:, :r], axis=1, prepend=0).max(axis=1)

@@ -21,7 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 from .combinatorics import log_beta
 from .errors import NumericalError, ParameterError
-from .null_dist import _check_budget, _cross, _cross_steps, _Law, _validate_params
+from .null_dist import (
+    _check_budget, _cross, _cross_steps, _float_sum, _Law, _validate_params,
+)
 from .statistics import FrequencyVector
 
 __all__ = [
@@ -123,14 +125,18 @@ def _side(length: int, m: int, log_factor: _LogFactor) -> tuple[list[float], lis
     `length` cells with total t and largest cell i, their chain factors over
     their cell factorials; row i covers the band i..min(length * i, m) outside
     of which every such sum is 0. Each total's entries peak at 1, so floats
-    neither overflow nor underflow; a cell added to state (t, i) costs t + 1
-    multiply-adds. The last cell keeps total t's entries only from its least
-    largest cell lo[t] = ceil(t / length) on, so one cell keeps m + 1 floats."""
+    neither overflow nor underflow. A cell v added to total t costs one
+    multiply-add for the states below v, whose running max it sets (their sum
+    is a running sum of the row, formed left to right), and one for each state
+    i >= v: at most t + 1. The last cell keeps total t's entries only from its
+    least largest cell lo[t] = ceil(t / length) on, so one cell keeps m + 1
+    floats."""
     lo = [-(-t // length) for t in range(m + 1)]
     scale = [0.0] + [-math.inf] * m
     w = [[1.0]] * (m + 1)  # w[total][largest - first[total]]; unreached totals unread
     for k in range(length):
         first = lo if k == length - 1 else [0] * (m + 1)
+        prefix = [list(accumulate(row, initial=0.0)) for row in w]  # sum(row[:v])
         # totals high to low: total u reads only the states t <= u, not yet
         # replaced, and adds their moves with t ascending
         for u in range(m, -1, -1):
@@ -143,7 +149,8 @@ def _side(length: int, m: int, log_factor: _LogFactor) -> tuple[list[float], lis
             out = [0.0] * (u + 1)
             for t, log_move in moves:
                 v, c, row = u - t, math.exp(log_move - top), w[t]
-                out[v] += c * sum(row[:v])  # a cell above the running max sets it
+                # a cell above the running max sets it
+                out[v] += c * prefix[t][min(v, len(row))]
                 out[v : t + 1] = [o + c * x for o, x in zip(out[v : t + 1], row[v:])]
             peak = max(out)
             scale[u] = top + math.log(peak)
@@ -237,7 +244,7 @@ def joint_frequency_pmf_lehmann(fv: FrequencyVector, gamma: float) -> float:
         + log_perm[total]
         + _log_chain(fv.f_p, _precedence_factor(gamma))
         + _log_chain(reversed(fv.f_e), _exceedance_factor(m, n, s, gamma))
-        - sum(math.lgamma(v + 1) for v in (*fv.f_p, *fv.f_e))
+        - _float_sum(math.lgamma(v + 1) for v in (*fv.f_p, *fv.f_e))
         + log_s
     )
     return min(1.0, math.exp(log_p))
@@ -301,7 +308,7 @@ def alternative_distribution(
             math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_st)
             for t, log_st in enumerate(log_s, n1)
         ]
-    pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, m)
+    pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, m, _float_sum)
     return AlternativeDistribution(
         m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf),
         condition_estimate=max(condition for _, condition in diagonal),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import mul
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .combinatorics import binomial, exact_max_composition_count
 from .errors import BudgetExceededError, ParameterError
@@ -169,9 +169,19 @@ def _cross_steps(r: int, s: int, length: int, cells: _Cells) -> int:
     return steps
 
 
+def _float_sum(values: Iterable[float]) -> float:
+    """The floats summed left to right, as sum() did before Python 3.12 made
+    its float sums compensated: the same bits on every version. A loop of
+    float adds costs less than functools.reduce over operator.add."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _cross(
     rows_r: _Rows, rows_s: _Rows, link: Callable[[int, int, int], Sequence[Any]],
-    cells: _Cells, length: int,
+    cells: _Cells, length: int, total: Callable[[Iterable[Any]], Any],
 ) -> list[Any]:
     """num[t], the sum of the cells (i, j) with i + j = t, from two side tables.
 
@@ -182,18 +192,19 @@ def _cross(
     for k2 = lo..hi - 1, cut short at k1 + k2 = K. Cell (i, j) sums
     rows_r[i][k1] * H_j[k1], H_j[k1] = sum rows_s[j][k2] * L(k1, k2); H_j is
     formed once per j and shared by every i. Slicing only the band a row
-    covers keeps the copies within the _cross_steps count.
+    covers keeps the copies within the _cross_steps count. `total` adds up
+    the products: sum for integers, _float_sum for floats.
     """
     num = [0] * (max(j + i_hi for j, _, i_hi in cells) + 1)
     for j, i_lo, i_hi in cells:
         row_s = rows_s[j]
         h_j = [
-            sum(map(mul, row_s, link(k1, j, j + len(row_s))))
+            total(map(mul, row_s, link(k1, j, j + len(row_s))))
             for k1 in range(length - j + 1)
         ]
         for i in range(i_lo, i_hi + 1):
             row_r = rows_r[i]
-            num[i + j] += sum(map(mul, row_r, h_j[i : i + len(row_r)]))
+            num[i + j] += total(map(mul, row_r, h_j[i : i + len(row_r)]))
     return num
 
 
@@ -213,7 +224,7 @@ def _kernel(r: int, s: int, weights: list[int], cells: _Cells) -> list[int]:
     rows_r = {i: _side_row(r, i, length) for i in i_rows}
     rows_s = {j: _side_row(s, j, length) for j, _, _ in cells}
     return _cross(
-        rows_r, rows_s, lambda k1, lo, hi: weights[k1 + lo : k1 + hi], cells, length
+        rows_r, rows_s, lambda k1, lo, hi: weights[k1 + lo : k1 + hi], cells, length, sum
     )
 
 

@@ -277,6 +277,36 @@ class TestBlockStatisticsAgainstScalar:
             assert block[row] == statistic_bundle(x[row], y[row], 2, 4).max_sum
 
 
+class TestRankSpaceBlocks:
+    """Blocks draw in rank space, yet count what the real samples give."""
+
+    @pytest.mark.parametrize("statistic", ["T", "V", "Q"])
+    @pytest.mark.parametrize("varied", ["test", "training"])
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("lehmann", {"gamma": 2.0}),
+            ("lehmann", {"gamma": 1.0}),  # the map a block skips
+            ("exponential", {"rate": 0.5}),
+            ("weibull", {"shape": 1.5, "scale": 1.3}),
+            ("weibull", {"shape": 300.0, "scale": 20.0}),  # scale ** shape overflows
+        ],
+    )
+    def test_histogram_equals_real_samples(self, kind, params, varied, statistic):
+        alt = AlternativeSpec(kind=kind, varied=varied, **params)
+        m = n = 24
+        r = s = 3
+        rows = 300
+        histogram = _block_histogram(
+            _Job(1, SeededRng(41).generator(1, 5), rows, alt, (m, n, r, s, statistic))
+        )
+        x, y = _draw_block(alt, rows, m, n, SeededRng(41).generator(1, 5))
+        field = {"T": "max_sum", "V": "count_sum", "Q": "max_precedence"}[statistic]
+        values = [getattr(statistic_bundle(x[i], y[i], r, s), field) for i in range(rows)]
+        expected = np.bincount(values, minlength=histogram.size)
+        assert np.array_equal(histogram, expected)
+
+
 class TestMcPower:
     def test_bit_identical_reruns(self):
         kwargs = dict(reps=20_000, rng=SeededRng(31))
@@ -512,6 +542,19 @@ _PINNED_POWER = [
      (0.1311190812720848, 0.0023867013616961927, 6, 0.0355, 0.07795)),
     ("Q", 30, 3, "weibull", {"shape": 1.5, "scale": 1.3}, "training",
      (0.01374693757361602, 0.0008233455921107225, 6, 0.0355, 0.07795)),
+    # the two-sided T path with r = s = 3, recorded before blocks drew in rank space
+    ("T", 30, 3, "lehmann", {"gamma": 2.0}, "test",
+     (0.32487442449972725, 0.003311578421279634, 9, 0.0367313448163742, 0.07251044836090458)),
+    ("T", 30, 3, "lehmann", {"gamma": 2.0}, "training",
+     (0.06509033343089336, 0.0017443276917590413, 9, 0.0367313448163742, 0.07251044836090458)),
+    ("T", 30, 3, "exponential", {"rate": 0.5}, "test",
+     (0.06566118272193587, 0.0017514250170288825, 9, 0.0367313448163742, 0.07251044836090458)),
+    ("T", 30, 3, "exponential", {"rate": 0.5}, "training",
+     (0.3226035752086847, 0.0033055295224158807, 9, 0.0367313448163742, 0.07251044836090458)),
+    ("T", 30, 3, "weibull", {"shape": 1.5, "scale": 1.3}, "test",
+     (0.04176127057456489, 0.0014145187671883834, 9, 0.0367313448163742, 0.07251044836090458)),
+    ("T", 30, 3, "weibull", {"shape": 1.5, "scale": 1.3}, "training",
+     (0.14383786668639706, 0.002481416276982797, 9, 0.0367313448163742, 0.07251044836090458)),
 ]
 
 

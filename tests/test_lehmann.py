@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import time
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import lehmann_oracle
-from maxpe import lehmann
+from maxpe import lehmann, null_dist
 from maxpe.errors import BudgetExceededError, NumericalError, ParameterError
 from maxpe.inference import (
     AlternativeSpec,
@@ -264,12 +265,38 @@ class TestExactPower:
             exact_power(10, 10, 1, 1, 2.0, 0.0)
 
 
-def test_pmfs_and_powers_match_pinned_outputs(data_dir):
-    """pmfs and exact powers equal, bit for bit, the values recorded before
-    the Lehmann law shared the null kernel's cross step: r = 1, r != s and
-    n >> m among the shapes."""
+def _assert_pinned_outputs(data_dir):
     pinned = json.loads((data_dir / "pinned_outputs.json").read_text())["lehmann"]
     for case in pinned:
         m, n, r, s, gamma = case["shape"]
         assert list(alternative_distribution(m, n, r, s, gamma).pmf_values) == case["pmf"]
         assert exact_power(m, n, r, s, gamma, 0.05) == case["exact_power"]
+
+
+def test_pmfs_and_powers_match_pinned_outputs(data_dir):
+    """pmfs and exact powers equal, bit for bit, the values recorded before
+    the Lehmann law shared the null kernel's cross step: r = 1, r != s and
+    n >> m among the shapes."""
+    _assert_pinned_outputs(data_dir)
+
+
+def _compensated_sum(items, start=0):
+    """sum() as Python 3.12 and later run it: floats with Neumaier's
+    compensation, integers exactly."""
+    items = list(items)
+    if not all(type(x) is float for x in items):
+        return builtins.sum(items, start)
+    total, compensation = float(start), 0.0
+    for x in items:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_pinned_outputs_hold_under_compensated_sum(data_dir, monkeypatch):
+    """The pins hold on every Python version: the float sums run left to
+    right, not through sum(), which compensates them from Python 3.12 on."""
+    monkeypatch.setattr(lehmann, "sum", _compensated_sum, raising=False)
+    monkeypatch.setattr(null_dist, "sum", _compensated_sum, raising=False)
+    _assert_pinned_outputs(data_dir)
