@@ -30,25 +30,16 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# Stirling correction: lgamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + _del(x)
-_STIRLING = (
-    1 / 12,
-    -1 / 360,
-    1 / 1260,
-    -1 / 1680,
-    1 / 1188,
-    -691 / 360360,
-    1 / 156,
-)
-
-
 def _del(x: float) -> float:
-    """Stirling-series correction term; accurate to ~1e-16 for x >= 10."""
+    """Stirling-series correction term, lgamma(x) = (x - 1/2) ln x - x +
+    ln(2 pi)/2 + _del(x); accurate to ~1e-16 for x >= 10. Horner's rule over
+    the series 1/12, -1/360, 1/1260, -1/1680, 1/1188, -691/360360, 1/156 in
+    1/x^2, written out: the compiler folds each coefficient to one constant."""
     inv2 = 1.0 / (x * x)
-    acc = 0.0
-    for c in reversed(_STIRLING):
-        acc = acc * inv2 + c
-    return acc / x
+    return (
+        ((((((1 / 156 * inv2 - 691 / 360360) * inv2 + 1 / 1188) * inv2 - 1 / 1680) * inv2
+            + 1 / 1260) * inv2 - 1 / 360) * inv2 + 1 / 12) / x
+    )
 
 
 def log_beta(a: float, b: float) -> float:

@@ -8,7 +8,7 @@ cells, q = n - r - s. The pmf comes from three polynomial passes over
 positive quantities, so nothing cancels in floating point: side tables by a
 recurrence over (partial sum, running max) states, returned by largest cell;
 the link weights, each row from a row of S summed from the row below, so
-that only the diagonal of S is an alternating sum (evaluated in mpmath);
+that only the diagonal of S is an alternating sum (evaluated in decimal);
 and the null kernel's O(m^3) cross step. gamma = 1 recovers the exact null.
 """
 
@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .combinatorics import log_beta
 from .errors import NumericalError, ParameterError
@@ -36,9 +37,13 @@ __all__ = [
 _GUARD_DIGITS = 20  # working digits kept beyond the worst cancellation
 # Weights, in WORK_BUDGET steps of one float multiply-add (about 0.1 us with
 # CPython 3.11 on a Xeon vCPU), of a table entry built by a call or by exp,
-# log1p or lgamma, and of one high-precision product of a Beta sum
+# log1p or lgamma, and of one decimal product of a Beta sum: _MP_STEPS, and
+# one step more per _MP_DIGITS_PER_STEP working digits. A product took
+# 0.5-0.7 us up to 450 digits, 0.7 us at 800, 1.4 us at 1280 and 2.3 us at
+# 3170: 74-104 ns a step at nine shapes with r = s = 1, 2, 3 and 10
 _ENTRY_STEPS = 5
-_MP_STEPS = 50
+_MP_STEPS = 6
+_MP_DIGITS_PER_STEP = 170
 
 _PMF_SLACK = 1e-9
 _NORMALIZATION_SLACK = 1e-6
@@ -128,10 +133,12 @@ def _side(length: int, m: int, log_factor: _LogFactor) -> tuple[list[float], lis
     neither overflow nor underflow. A cell v added to total t costs one
     multiply-add for the states below v, whose running max it sets (their sum
     is a running sum of the row, formed left to right), and one for each state
-    i >= v: at most t + 1. The last cell keeps total t's entries only from its
-    least largest cell lo[t] = ceil(t / length) on, so one cell keeps m + 1
-    floats."""
+    i >= v: 1 + max(0, t + 1 - v), as _side_steps counts them. The first
+    cell starts from the empty vector, total 0, and reaches every total. The
+    last cell keeps total t's entries only from its least largest cell
+    lo[t] = ceil(t / length) on, so one cell keeps m + 1 floats."""
     lo = [-(-t // length) for t in range(m + 1)]
+    log_fact = [math.lgamma(v + 1) for v in range(m + 1)]
     scale = [0.0] + [-math.inf] * m
     w = [[1.0]] * (m + 1)  # w[total][largest - first[total]]; unreached totals unread
     for k in range(length):
@@ -140,18 +147,18 @@ def _side(length: int, m: int, log_factor: _LogFactor) -> tuple[list[float], lis
         # totals high to low: total u reads only the states t <= u, not yet
         # replaced, and adds their moves with t ascending
         for u in range(m, -1, -1):
-            moves = [
-                (t, scale[t] + log_factor(k, t, u - t) - math.lgamma(u - t + 1))
-                for t in range(u + 1)
-                if scale[t] > -math.inf
+            log_moves = [
+                scale[t] + log_factor(k, t, u - t) - log_fact[u - t]
+                for t in range(u + 1 if k else 1)
             ]
-            top = max(log_move for _, log_move in moves)
+            top = max(log_moves)
             out = [0.0] * (u + 1)
-            for t, log_move in moves:
+            for t, log_move in enumerate(log_moves):
                 v, c, row = u - t, math.exp(log_move - top), w[t]
                 # a cell above the running max sets it
                 out[v] += c * prefix[t][min(v, len(row))]
-                out[v : t + 1] = [o + c * x for o, x in zip(out[v : t + 1], row[v:])]
+                if v <= t:
+                    out[v : t + 1] = [o + c * x for o, x in zip(out[v : t + 1], row[v:])]
             peak = max(out)
             scale[u] = top + math.log(peak)
             w[u] = [x / peak for x in out[first[u] :]]
@@ -176,47 +183,73 @@ def _log_lower_bound(a: float, b: int, q: int, gamma: float) -> float:
     return max(bounds) - math.log(a)
 
 
+def _beta_sum_digits(a: Sequence[float], b: int, q: int, gamma: float) -> int:
+    """Working digits of _beta_sums with a_k = a[k]: _GUARD_DIGITS beyond
+    those the worst cancellation can cost, bounded before any term is
+    formed. The terms of S_k add up to at most 2^q B(a_k, b - k), as B falls
+    in its first argument, and S_k is at least e^_log_lower_bound."""
+    loss = max(
+        q * math.log(2) + log_beta(a_k, b - k) - _log_lower_bound(a_k, b - k, q, gamma)
+        for k, a_k in enumerate(a)
+    )
+    return max(0, math.ceil(loss / math.log(10))) + _GUARD_DIGITS
+
+
 def _beta_sums(
-    n1: int, b: int, q: int, r: int, gamma: float, count: int
+    n1: int, b: int, q: int, r: int, gamma: float, count: int, digits: Optional[int] = None
 ) -> list[tuple[float, float]]:
     """(ln S_k, condition_k), k < count, for S_k = sum_l (-1)^l C(q, l)
-    B(n1 + k + r*gamma + gamma*l, b - k) and condition_k = sum |terms| / S_k.
+    B(x_l + k, b - k), x_l = n1 + r*gamma + gamma*l, and condition_k =
+    sum |terms| / S_k.
 
-    The digits the worst cancellation can cost are bounded in advance from
-    the term magnitudes and _log_lower_bound; mpmath, imported on first use,
-    works with _GUARD_DIGITS more. B(x, b) = (b-1)! / (x (x+1) ... (x+b-1))
-    for whole b, and stepping k multiplies a term by (x+k) / (b-k-1).
+    B(x, b) = (b-1)! / (x (x+1) ... (x+b-1)) for whole b, and stepping k
+    multiplies a term by (x_l + k) / (b-k-1). The sums run in the standard
+    library's decimal, in C, at the `digits` of _beta_sum_digits, formed
+    here unless the caller has them. Each term
+    is formed once, as C(q, l) (b-1)! over the product of its b factors,
+    and then only multiplied by x_l + k: S_k is the sum of the terms once
+    divided by the exact integer (b-1)! / (b-1-k)!, and condition_k their
+    sum of magnitudes over their sum.
+
+    Each rounding errs by at most half a unit in the last working digit. A
+    term carries the roundings of its b + k factors and products and of
+    its division, and each of the q additions of the sums errs by at most
+    as much of the sum of magnitudes, which _beta_sum_digits keeps below
+    10^(digits - 20) S_k. So S_k is off by at most (2 (b + k) + q + 3)
+    5e-20 of itself, below 1e-14 while b, k and q stay below 3e4, and
+    far less in practice: roundings partly cancel, and the bounds behind
+    the digits are not tight. decimal sums left to right, one rounded addition at a time;
+    Python 3.12's compensated sum() changes only float sums. ln is taken,
+    correctly rounded, at 25 digits: the float nearest to that is the float
+    nearest to ln S_k except within 5e-9 of a unit in the last place of a
+    tie, and a full-precision ln costs milliseconds at hundreds of digits.
     """
     a = [n1 + k + r * gamma for k in range(count)]
     if q == 0:
         return [(log_beta(a[k], b - k), 1.0) for k in range(count)]
-    log_binom = [math.log(math.comb(q, l)) for l in range(q + 1)]
-    log_abs = []
-    for k in range(count):
-        logs = [lc + log_beta(a[k] + gamma * l, b - k) for l, lc in enumerate(log_binom)]
-        top = max(logs)
-        log_abs.append(top + math.log(math.fsum(math.exp(x - top) for x in logs)))
-    loss = max(
-        la - _log_lower_bound(a[k], b - k, q, gamma) for k, la in enumerate(log_abs)
-    )
-    import mpmath
-
-    with mpmath.workdps(max(0, math.ceil(loss / math.log(10))) + _GUARD_DIGITS):
-        g = mpmath.mpf(gamma)
+    ln_context = Context(prec=25, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    if digits is None:
+        digits = _beta_sum_digits(a, b, q, gamma)
+    with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        g = Decimal(gamma)
         x = [n1 + r * g + g * l for l in range(q + 1)]
-        terms = []
-        for l, x_l in enumerate(x):
-            term = math.comb(q, l) * math.factorial(b - 1) / mpmath.fprod(x_l + i for i in range(b))
-            terms.append(-term if l % 2 else term)
-        sums = []
+        binomials = accumulate(range(q), lambda c, l: c * (q - l) // (l + 1), initial=1)
+        numerator = math.factorial(b - 1)
+        terms = [  # |term l| of S_k times falling
+            c * numerator / math.prod(map(x_l.__add__, range(b)))
+            for c, x_l in zip(binomials, x)
+        ]
+        sums, falling = [], 1  # (b-1)! / (b-1-k)!
         for k in range(count):
-            total = mpmath.fsum(terms)
+            plus, minus = sum(terms[::2]), sum(terms[1::2])
+            total = (plus - minus) / falling
             if not total > 0:
-                raise NumericalError(f"Beta sum {n1 + k, b - k, q} is {mpmath.nstr(total, 5)}")
-            log_total = float(mpmath.log(total))
-            sums.append((log_total, math.exp(min(log_abs[k] - log_total, 709.0))))
+                raise NumericalError(f"Beta sum {n1 + k, b - k, q} is {total:.5g}")
+            condition = (plus + minus) / (plus - minus)
+            sums.append((float(total.ln(ln_context)), min(float(condition), math.exp(709.0))))
             if k + 1 < count:
-                terms = [term * (x_l + k) / (b - k - 1) for term, x_l in zip(terms, x)]
+                terms = [term * (x_l + k) for term, x_l in zip(terms, x)]
+                falling *= b - 1 - k
     return sums
 
 
@@ -250,22 +283,42 @@ def joint_frequency_pmf_lehmann(fv: FrequencyVector, gamma: float) -> float:
     return min(1.0, math.exp(log_p))
 
 
-def _steps(m: int, n: int, r: int, s: int, cells: list[tuple[int, int, int]]) -> int:
-    """Work of alternative_distribution over the full `cells`, in steps,
-    counted before any is done."""
+def _side_steps(length: int, m: int) -> int:
+    """Multiply-adds of _side(length, m, ...), counted before any: a cell v
+    added to total t makes 1 + max(0, t + 1 - v). The first cell adds v = u
+    to t = 0 for each total u; a later one adds u - t to each t <= u, and
+    for fixed u the terms max(0, 2t + 1 - u) sum to
+    (u // 2 + 1) * ((u + 1) // 2 + 1): over u = 0..m, the squares up to
+    e = m // 2 + 1 and the products j (j + 1) up to o = (m + 1) // 2."""
+    e, o = m // 2 + 1, (m + 1) // 2
+    later = (m + 1) * (m + 2) // 2 + e * (e + 1) * (2 * e + 1) // 6 + o * (o + 1) * (o + 2) // 3
+    return m + 2 + (length - 1) * later
+
+
+def _steps(
+    m: int, n: int, r: int, s: int, digits: int, cells: list[tuple[int, int, int]]
+) -> int:
+    """Work of alternative_distribution over the full `cells`, its diagonal
+    Beta sums at `digits` working digits, in steps, counted before any is
+    done."""
     tri = (m + 1) * (m + 2) // 2  # entries of an (n1, t) table, or moves of one cell
-    cube = math.comb(m + 3, 3)  # sum of t + 1 over the (t, v) moves of one cell
-    terms = n - r - s + 1 if n > r + s else 0  # Beta-sum terms, none when q = 0
+    q = n - r - s
     # a side's first cell makes m + 1 moves from t = 0 and each later one tri,
     # and each cell normalizes a tri-entry table; the rows of S and the link table;
-    # one sum per H_j entry and per cell of the cross step; per Beta-sum term,
-    # m + 1 magnitudes, then 3m + 2 high-precision products
-    entries = 2 * (m + 1) + (2 * (r + s) + 2) * tri + terms * (m + 1)
-    products = terms * (3 * m + 2)
-    # multiply-adds: t + 1 per side-table move, _side's copy of at most tri
-    # entries per side into rows by largest cell, and the cross step
-    adds = 2 * (m + 1) + (r + s - 2) * cube + 2 * tri + _cross_steps(r, s, m, cells)
-    return adds + _ENTRY_STEPS * entries + _MP_STEPS * products
+    # one sum per H_j entry and per cell of the cross step
+    entries = 2 * (m + 1) + (2 * (r + s) + 2) * tri
+    # multiply-adds of the side tables, _side's copy of at most tri entries
+    # per side into rows by largest cell, and the cross step
+    adds = _side_steps(r, m) + _side_steps(s, m) + 2 * tri + _cross_steps(r, s, m, cells)
+    steps = adds + _ENTRY_STEPS * entries
+    if q:
+        # the m + 1 entries of the digit bound; per Beta-sum term, m + 1
+        # factors of its first value, m steps and m + 1 additions into the
+        # sums. The m + 1 logarithms of the sums, about 40 us each, stay below
+        # a twentieth of the count wherever it nears WORK_BUDGET
+        weight = _MP_STEPS + digits // _MP_DIGITS_PER_STEP
+        steps += _ENTRY_STEPS * (m + 1) + weight * (q + 1) * (3 * m + 2)
+    return steps
 
 
 def alternative_distribution(
@@ -274,9 +327,11 @@ def alternative_distribution(
     """Exact pmf of the statistic under G = F^gamma, in three passes:
 
     1. side tables P[n1][i] and E[n2][j], summed over the vectors with cell
-       total n1 (n2) and largest cell i (j): (r + s) m^3 / 6 steps;
+       total n1 (n2) and largest cell i (j): m^2 / 2 moves per cell after
+       the first, and about (r + s - 2) m^3 / 12 multiply-adds in all;
     2. the Beta sums S(n1, t) from S(n1, t) = S(n1, t-1) + S(n1+1, t), with
-       only the m + 1 diagonal sums evaluated, in mpmath: 3 (q + 1) m products;
+       only the m + 1 diagonal sums evaluated, in decimal: (q + 1)(3m + 2)
+       products at the working digits, and m + 1 logarithms;
        rows n1 = m..0 each come from the row below and feed link row n1 at
        once, so no table of S is kept;
     3. the null kernel's cross step: H_j[n1] = sum_n2 E[n2][j] S(n1, n1 + n2)
@@ -291,8 +346,10 @@ def alternative_distribution(
     """
     _validate(m, n, r, s, gamma)
     cells = [(j, 0, m - j) for j in range(m + 1)]
-    _check_budget(_steps(m, n, r, s, cells), "Lehmann-law")
-    diagonal = _beta_sums(0, m + 1, n - r - s, r, gamma, m + 1)  # (ln S(t, t), condition)
+    q = n - r - s
+    digits = _beta_sum_digits([t + r * gamma for t in range(m + 1)], m + 1, q, gamma) if q else 0
+    _check_budget(_steps(m, n, r, s, digits, cells), "Lehmann-law")
+    diagonal = _beta_sums(0, m + 1, q, r, gamma, m + 1, digits)  # (ln S(t, t), condition)
     scale_p, rows_p = _side(r, m, _precedence_factor(gamma))
     scale_e, rows_e = _side(s, m, _exceedance_factor(m, n, s, gamma))
     log_c, log_perm = _log_counts(m, n, r, s, gamma)

@@ -113,7 +113,7 @@ class TestAlternativeDistribution:
             alternative_distribution(400, 400, 40, 40, 2.0)
         assert time.perf_counter() - start < 1.0  # refused before any work
 
-    @pytest.mark.parametrize("m,n", [(5000, 5002), (5000, 2), (3000, 2), (1000, 1002)])
+    @pytest.mark.parametrize("m,n", [(5000, 5002), (5000, 2), (3000, 2), (1500, 1502)])
     def test_budget_counts_the_tables(self, m, n, monkeypatch):
         # r = s = 1 makes only O(m^2) cross multiply-adds, so the O(m^2)
         # tables and the Beta-sum terms must carry the count
@@ -278,6 +278,28 @@ def test_pmfs_and_powers_match_pinned_outputs(data_dir):
     the Lehmann law shared the null kernel's cross step: r = 1, r != s and
     n >> m among the shapes."""
     _assert_pinned_outputs(data_dir)
+
+
+def test_cancelling_shapes_match_pinned_outputs(data_dir):
+    """ln S of the diagonal Beta sums, and pmfs, at shapes whose Beta sums
+    cancel heavily equal, bit for bit, the values recorded while the sums
+    ran in mpmath: a change of arithmetic would show here first."""
+    pinned = json.loads((data_dir / "pinned_outputs.json").read_text())["lehmann_cancelling"]
+    for case in pinned:
+        m, n, r, s, gamma = case["shape"]
+        if "log_beta_sums" in case:
+            diagonal = _beta_sums(0, m + 1, n - r - s, r, gamma, m + 1)
+            assert [log_s.hex() for log_s, _ in diagonal] == case["log_beta_sums"]
+        else:
+            pmf = alternative_distribution(m, n, r, s, gamma).pmf_values
+            assert [p.hex() for p in pmf] == case["pmf"]
+
+
+def test_failed_beta_sum_is_a_numerical_error(monkeypatch):
+    # too few working digits for 239 terms of total magnitude ~3e59
+    monkeypatch.setattr(lehmann, "_GUARD_DIGITS", -40)
+    with pytest.raises(NumericalError, match=r"^Beta sum \(0, 6, 238\) is -?\d"):
+        _beta_sums(0, 6, 238, 1, 2.0, 1)
 
 
 def _compensated_sum(items, start=0):

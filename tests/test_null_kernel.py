@@ -1,16 +1,18 @@
 """The shared null kernel against the direct formula, its work budget and cache."""
 
+import math
 import operator
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import null_oracle
-from maxpe import null_dist
+from maxpe import lehmann, null_dist
 from maxpe.errors import BudgetExceededError
 from maxpe.inference import critical_value
 from maxpe.lehmann import alternative_distribution
@@ -90,6 +92,32 @@ def test_budget_counts_the_work_done(r, s, length, monkeypatch):
     assert _counted_steps(lehmann, monkeypatch) == null_dist._cross_steps(r, s, length, grids[0])
 
 
+def _counted_side_steps(length, m, monkeypatch):
+    """Multiply-adds lehmann._side performs: one per move, which makes one
+    exp, and one per pair of its row slices."""
+    count = [0]
+
+    def exp(x):
+        count[0] += 1
+        return math.exp(x)
+
+    def counting_zip(*iterables):
+        for pair in zip(*iterables):
+            count[0] += 1
+            yield pair
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lehmann, "math", SimpleNamespace(**{**vars(math), "exp": exp}))
+        patch.setattr(lehmann, "zip", counting_zip, raising=False)
+        lehmann._side(length, m, lehmann._precedence_factor(2.0))
+    return count[0]
+
+
+@pytest.mark.parametrize("length,m", [(1, 0), (1, 9), (2, 0), (2, 1), (2, 8), (3, 13), (4, 10), (6, 7)])
+def test_side_count_is_the_work_done(length, m, monkeypatch):
+    assert _counted_side_steps(length, m, monkeypatch) == lehmann._side_steps(length, m)
+
+
 def test_budget_refuses_before_working():
     start = time.perf_counter()
     with pytest.raises(BudgetExceededError):
@@ -110,8 +138,9 @@ def test_tables_are_cached_and_bounded():
 
 
 def test_exact_paths_load_neither_numpy_nor_mpmath(tmp_path, data_dir):
-    # nor dataclasses (with inspect) or json; what a bare interpreter already
-    # holds after `site` has run in this environment does not count
+    # nor dataclasses (with inspect) or json, exact power included, whose
+    # Beta sums run in decimal; what a bare interpreter already holds after
+    # `site` has run in this environment does not count
     heavy = "sorted({'dataclasses', 'inspect', 'json', 'numpy', 'mpmath'} & set(sys.modules))"
     script = (
         "import sys, maxpe, maxpe.cli\n"
@@ -122,6 +151,11 @@ def test_exact_paths_load_neither_numpy_nor_mpmath(tmp_path, data_dir):
         "assert maxpe.cli.main(['test', '--training', sys.argv[2] + '/type1.txt',"
         " '--test', sys.argv[2] + '/type2.txt', '--r', '3', '--s', '3',"
         " '--out', sys.argv[1] + '/t.csv']) == 0\n"
+        # the Lehmann law's Beta sums, which cancel heavily at n >> m
+        "from maxpe.lehmann import exact_power\n"
+        "assert 0 < exact_power(30, 300, 2, 2, 0.5, 0.05) < 1\n"
+        "assert maxpe.cli.main(['power', '--m', '10', '--n', '12', '--r', '1', '--s', '1',"
+        " '--gamma', '2', '--method', 'exact', '--out', sys.argv[1] + '/p.csv']) == 0\n"
         f"print({heavy})\n"
     )
 
