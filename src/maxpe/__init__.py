@@ -7,12 +7,7 @@ distributions, randomized-test critical values and decisions, seeded
 Monte-Carlo power studies, and a CLI.
 """
 
-from .combinatorics import (
-    binomial,
-    bounded_composition_count,
-    exact_max_composition_count,
-    log_beta,
-)
+from .combinatorics import binomial, bounded_composition_count, log_beta
 from .errors import BudgetExceededError, NumericalError, ParameterError
 from .inference import (
     AlternativeSpec,
@@ -71,7 +66,6 @@ __all__ = [
     "bounded_composition_count",
     "brute_force_null_distribution",
     "critical_value",
-    "exact_max_composition_count",
     "exact_power",
     "frequency_vector",
     "joint_PE_pmf",

@@ -5,8 +5,11 @@ rounds. log_beta works in the log domain because the Beta-chain products
 used by the alternative-distribution code underflow double precision long
 before the final probabilities do.
 
-Everything is a pure function; the lru_cache-backed counter is safe for
-concurrent callers.
+Everything is a pure function. The package itself does not call the public
+bounded_composition_count: the null kernel forms its side rows from one
+binomial column per side (null_dist._side_rows). The counter keeps its
+lru_cache because the benchmark harness in perfbench/ reads the cache's
+counters on every run.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ __all__ = [
     "binomial",
     "log_beta",
     "bounded_composition_count",
-    "bounded_composition_count_dp",
-    "exact_max_composition_count",
 ]
 
 
@@ -75,7 +76,6 @@ def log_beta(a: float, b: float) -> float:
     )
 
 
-# 4096 entries hold one null table's working set, 2 (m + 1)^2, up to m = 44
 @lru_cache(maxsize=4096)
 def bounded_composition_count(total: int, boxes: int, cap: int) -> int:
     """Ordered tuples of `boxes` non-negative integers summing to `total`
@@ -97,41 +97,3 @@ def bounded_composition_count(total: int, boxes: int, cap: int) -> int:
         term = binomial(boxes, j) * binomial(rem + boxes - 1, boxes - 1)
         count += term if j % 2 == 0 else -term
     return count
-
-
-def bounded_composition_count_dp(total: int, boxes: int, cap: int) -> int:
-    """Dynamic-programming evaluation of bounded_composition_count.
-
-    Independent of the inclusion-exclusion route; kept as a cross-check
-    oracle. Uses a sliding-window prefix sum, O(boxes * total) time.
-    """
-    if total < 0:
-        return 0
-    if cap < 0 or boxes == 0:
-        return 1 if total == 0 else 0
-    ways = [1] + [0] * total
-    for _ in range(boxes):
-        prefix = [0] * (total + 2)
-        for t in range(total + 1):
-            prefix[t + 1] = prefix[t] + ways[t]
-        nxt = [0] * (total + 1)
-        for t in range(total + 1):
-            lo = max(0, t - cap)
-            nxt[t] = prefix[t + 1] - prefix[lo]
-        ways = nxt
-    return ways[total]
-
-
-def exact_max_composition_count(total: int, boxes: int, peak: int) -> int:
-    """Ordered tuples of `boxes` non-negative integers summing to `total`
-    whose largest part equals `peak` exactly.
-
-    Difference of two capped counts; peak 0 admits only the all-zero tuple.
-    """
-    if peak < 0:
-        return 0
-    if peak == 0:
-        return 1 if total == 0 else 0
-    return bounded_composition_count(total, boxes, peak) - bounded_composition_count(
-        total, boxes, peak - 1
-    )

@@ -37,11 +37,15 @@ __all__ = [
 _GUARD_DIGITS = 20  # working digits kept beyond the worst cancellation
 # Weights, in WORK_BUDGET steps of one float multiply-add (about 0.1 us with
 # CPython 3.11 on a Xeon vCPU), of a table entry built by a call or by exp,
-# log1p or lgamma, and of one decimal product of a Beta sum: _MP_STEPS, and
-# one step more per _MP_DIGITS_PER_STEP working digits. A product took
-# 0.5-0.7 us up to 450 digits, 0.7 us at 800, 1.4 us at 1280 and 2.3 us at
-# 3170: 74-104 ns a step at nine shapes with r = s = 1, 2, 3 and 10
+# log1p or lgamma; of a move of _side, which makes a log_beta call, an exp
+# and the slice work of its row; and of one decimal product of a Beta sum:
+# _MP_STEPS, and one step more per _MP_DIGITS_PER_STEP working digits. A move
+# took 2.5-3.4 us at (200, 200, 10, 10) and (100, 300, 10, 10). A product
+# took 0.5-0.7 us up to 450 digits, 0.7 us at 800, 1.4 us at 1280 and 2.3 us
+# at 3170. With these weights whole laws ran at 58-109 ns a step, in two
+# runs of eleven shapes with r = s = 1, 2, 3, 5, 10, 20 and 30
 _ENTRY_STEPS = 5
+_MOVE_STEPS = 30
 _MP_STEPS = 6
 _MP_DIGITS_PER_STEP = 170
 
@@ -303,14 +307,15 @@ def _steps(
     done."""
     tri = (m + 1) * (m + 2) // 2  # entries of an (n1, t) table, or moves of one cell
     q = n - r - s
-    # a side's first cell makes m + 1 moves from t = 0 and each later one tri,
-    # and each cell normalizes a tri-entry table; the rows of S and the link table;
+    # a side's first cell makes m + 1 moves from t = 0 and each later one tri
+    moves = 2 * (m + 1) + (r + s - 2) * tri
+    # each cell normalizes a tri-entry table; the rows of S and the link table;
     # one sum per H_j entry and per cell of the cross step
-    entries = 2 * (m + 1) + (2 * (r + s) + 2) * tri
+    entries = (r + s + 4) * tri
     # multiply-adds of the side tables, _side's copy of at most tri entries
     # per side into rows by largest cell, and the cross step
     adds = _side_steps(r, m) + _side_steps(s, m) + 2 * tri + _cross_steps(r, s, m, cells)
-    steps = adds + _ENTRY_STEPS * entries
+    steps = adds + _ENTRY_STEPS * entries + _MOVE_STEPS * moves
     if q:
         # the m + 1 entries of the digit bound; per Beta-sum term, m + 1
         # factors of its first value, m steps and m + 1 additions into the

@@ -5,9 +5,10 @@ computed in exact rational arithmetic: a distribution's pmf entries share
 the denominator C(m+n, n) and are returned as Fractions. One convolution
 kernel serves the full, truncated and large-sample laws; its cross step,
 which joins the precedence and exceedance sides cell by cell, also serves
-the Lehmann law in floats, under the same WORK_BUDGET. A brute-force
-enumeration over sample interleavings doubles as the validation oracle for
-the composition-count formula.
+the Lehmann law in floats, under the same WORK_BUDGET. Its side rows, the
+counts of tuples of cell counts by total and largest cell, come from one
+binomial column per side by inclusion-exclusion. A brute-force enumeration
+over sample interleavings doubles as the validation oracle for the kernel.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
-from operator import mul
+from operator import mul, sub
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .combinatorics import binomial, exact_max_composition_count
+from .combinatorics import binomial
 from .errors import BudgetExceededError, ParameterError
 from .statistics import FrequencyVector, statistic_bundle
 
@@ -140,10 +141,33 @@ def joint_frequency_pmf_null(fv: FrequencyVector) -> Fraction:
     )
 
 
-def _side_row(boxes: int, peak: int, length: int) -> list[int]:
-    """W_boxes[peak][k] of _kernel for k = peak..min(boxes * peak, length)."""
-    top = min(boxes * peak, length)
-    return [exact_max_composition_count(k, boxes, peak) for k in range(peak, top + 1)]
+def _side_rows(boxes: int, peaks: range, length: int) -> dict[int, list[int]]:
+    """{p: W_boxes[p][k] of _kernel for k = p..min(boxes * p, length)}, p in peaks.
+
+    W[p][k] = C_p(k) - C_(p-1)(k), C_c(k) counting the tuples summing to k
+    with no part above c; W[0] = [1]. Each C_c comes, by inclusion-exclusion
+    over the j parts forced past c, from one column free[x] = C(x + boxes - 1,
+    boxes - 1), the tuples summing to x: C_c(k) = sum_j (-1)^j C(boxes, j)
+    free[k - j (c + 1)], at most `boxes` shifted slices of it. C_c covers
+    k = c..min(boxes * (c + 1), length), what rows c and c + 1 read.
+    """
+    free = list(accumulate(range(1, length + 1), lambda f, x: f * (x + boxes - 1) // x, initial=1))
+
+    def capped(c: int) -> list[int]:
+        hi = min(boxes * (c + 1), length)
+        out = free[c : hi + 1]
+        for j in range(1, min(boxes, hi // (c + 1)) + 1):
+            shift, coef = j * (c + 1), (-1) ** j * binomial(boxes, j)
+            out[shift - c :] = [x + coef * y for x, y in zip(out[shift - c :], free[: hi + 1 - shift])]
+        return out
+
+    rows = {}
+    below = capped(peaks.start - 1) if peaks.start > 0 else []
+    for p in peaks:
+        at = capped(p)
+        rows[p] = list(map(sub, at, below[1:])) if p else [1]
+        below = at
+    return rows
 
 
 def _series(lo: int, hi: int) -> int:
@@ -211,18 +235,20 @@ def _cross(
 def _kernel(r: int, s: int, weights: list[int], cells: _Cells) -> list[int]:
     """num[t], the sum of the null cells (i, j) with i + j = t: _cross with
     the side rows W_b[p][k], the ordered b-tuples summing to k with largest
-    part p, and the link weights[k1 + k2]. Costs O(t * K^2) steps for
-    i + j <= t, K = len(weights) - 1; raises BudgetExceededError, before any
-    work, above WORK_BUDGET steps.
+    part p, and the link weights[k1 + k2]; `cells` run over consecutive j
+    upwards. Costs O(t * K^2) steps for i + j <= t, K = len(weights) - 1,
+    counting each side-row entry and cross multiply-add as one; raises
+    BudgetExceededError, before any work, above WORK_BUDGET steps.
     """
     length = len(weights) - 1
     i_rows = range(min(c[1] for c in cells), max(c[2] for c in cells) + 1)
+    j_rows = range(cells[0][0], cells[-1][0] + 1)
     steps = sum(min(r * i, length) - i + 1 for i in i_rows)
-    steps += sum(min(s * j, length) - j + 1 for j, _, _ in cells)
+    steps += sum(min(s * j, length) - j + 1 for j in j_rows)
     _check_budget(steps + _cross_steps(r, s, length, cells), "null-kernel")
 
-    rows_r = {i: _side_row(r, i, length) for i in i_rows}
-    rows_s = {j: _side_row(s, j, length) for j, _, _ in cells}
+    rows_r = _side_rows(r, i_rows, length)
+    rows_s = _side_rows(s, j_rows, length)
     return _cross(
         rows_r, rows_s, lambda k1, lo, hi: weights[k1 + lo : k1 + hi], cells, length, sum
     )
@@ -270,7 +296,7 @@ def null_distribution(
 def brute_force_null_distribution(m: int, n: int, r: int, s: int) -> NullDistribution:
     """Enumerate every interleaving of m X-ranks among m+n positions.
 
-    Desk-scale oracle, independent of the composition-count formula.
+    Desk-scale oracle, independent of the kernel and its side rows.
     """
     _validate_params(m, n, r, s)
     total = binomial(m + n, n)

@@ -1,12 +1,28 @@
 """Direct O(m^4) evaluation of the null law, kept as an oracle for the kernel.
 
 Every joint cell (i, j) convolves the precedence and exceedance composition
-counts afresh for each cell total, exactly as the formula reads.
+counts afresh for each cell total, exactly as the formula reads, each count
+a difference of two capped counts rather than a row of the kernel's.
 """
 
 from fractions import Fraction
 
-from maxpe.combinatorics import binomial, exact_max_composition_count
+from maxpe.combinatorics import binomial, bounded_composition_count
+
+
+def exact_max_composition_count(total, boxes, peak):
+    """Ordered tuples of `boxes` non-negative integers summing to `total`
+    whose largest part equals `peak` exactly.
+
+    Difference of two capped counts; peak 0 admits only the all-zero tuple.
+    """
+    if peak < 0:
+        return 0
+    if peak == 0:
+        return 1 if total == 0 else 0
+    return bounded_composition_count(total, boxes, peak) - bounded_composition_count(
+        total, boxes, peak - 1
+    )
 
 
 def _convolution(r, s, i, j, total):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from maxpe.cli import main
-from maxpe.combinatorics import binomial, exact_max_composition_count
+from maxpe.combinatorics import binomial
 from maxpe.inference import (
     AlternativeSpec,
     SeededRng,
@@ -29,6 +29,7 @@ from maxpe.null_dist import (
     null_distribution,
 )
 from maxpe.statistics import frequency_vector, statistic_bundle
+from null_oracle import exact_max_composition_count
 from reference_tables import (
     CRITICAL_GRID_10,
     CRITICAL_GRID_20,

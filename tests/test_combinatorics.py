@@ -4,13 +4,9 @@ from itertools import product
 import mpmath
 import pytest
 
-from maxpe.combinatorics import (
-    binomial,
-    bounded_composition_count,
-    bounded_composition_count_dp,
-    exact_max_composition_count,
-    log_beta,
-)
+from maxpe.combinatorics import binomial, bounded_composition_count, log_beta
+from maxpe.null_dist import _side_rows
+from null_oracle import exact_max_composition_count
 
 
 class TestBinomial:
@@ -80,6 +76,29 @@ def _brute_force_bounded(total, boxes, cap):
     )
 
 
+def bounded_composition_count_dp(total, boxes, cap):
+    """Dynamic-programming evaluation of bounded_composition_count.
+
+    Independent of the inclusion-exclusion route; a cross-check oracle.
+    Uses a sliding-window prefix sum, O(boxes * total) time.
+    """
+    if total < 0:
+        return 0
+    if cap < 0 or boxes == 0:
+        return 1 if total == 0 else 0
+    ways = [1] + [0] * total
+    for _ in range(boxes):
+        prefix = [0] * (total + 2)
+        for t in range(total + 1):
+            prefix[t + 1] = prefix[t] + ways[t]
+        nxt = [0] * (total + 1)
+        for t in range(total + 1):
+            lo = max(0, t - cap)
+            nxt[t] = prefix[t + 1] - prefix[lo]
+        ways = nxt
+    return ways[total]
+
+
 class TestBoundedCompositions:
     def test_examples(self):
         assert bounded_composition_count(0, 3, 5) == 1
@@ -118,6 +137,8 @@ class TestExactMaxCompositions:
 
     def test_against_direct_enumeration(self):
         for boxes in range(1, 5):
+            # the kernel's side rows, whose peak ranges start at 0 and above
+            rows = {lo: _side_rows(boxes, range(lo, 9), 8) for lo in (0, 1, 3, 8)}
             for total in range(0, 9):
                 for peak in range(0, 9):
                     expected = sum(
@@ -126,6 +147,31 @@ class TestExactMaxCompositions:
                         if sum(parts) == total and max(parts) == peak
                     )
                     assert exact_max_composition_count(total, boxes, peak) == expected
+                    for lo, by_peak in rows.items():
+                        if peak < lo:
+                            continue
+                        row = by_peak[peak]  # totals peak..min(boxes * peak, 8)
+                        if peak <= total < peak + len(row):
+                            assert row[total - peak] == expected
+                        else:
+                            assert expected == 0
+            for by_peak in rows.values():
+                assert all(len(by_peak[p]) == min(boxes * p, 8) - p + 1 for p in by_peak)
+
+    def test_side_rows_are_capped_count_differences(self):
+        for boxes in range(1, 9):
+            for length in range(31):
+                rows = _side_rows(boxes, range(length + 1), length)
+                assert rows[0] == [1]
+                for peak in range(1, length + 1):
+                    assert rows[peak] == [
+                        bounded_composition_count(k, boxes, peak)
+                        - bounded_composition_count(k, boxes, peak - 1)
+                        for k in range(peak, min(boxes * peak, length) + 1)
+                    ]
+                for lo in (1, length // 2, length):
+                    part = _side_rows(boxes, range(lo, length + 1), length)
+                    assert part == {p: rows[p] for p in range(lo, length + 1)}
 
     def test_partition_of_all_compositions(self):
         """Summing over the exact maximum recovers the unconstrained count."""

@@ -1,7 +1,6 @@
 """The shared null kernel against the direct formula, its work budget and cache."""
 
 import math
-import operator
 import os
 import subprocess
 import sys
@@ -51,22 +50,22 @@ def test_asymptotic_matches_direct_accumulation(r, s):
 
 
 def _counted_steps(run, monkeypatch):
-    """Cross multiply-adds and null side-table entries that run() performs."""
-    count = [0]
+    """Cross multiply-adds and null side-row entries that run() performs."""
+    count, rows_of = [0], null_dist._side_rows
 
-    def counting(fn):
-        def wrapper(*args):
-            count[0] += 1
-            return fn(*args)
-        return wrapper
+    def mul(a, b):
+        count[0] += 1
+        return a * b
+
+    def side_rows(*args):
+        rows = rows_of(*args)
+        count[0] += sum(map(len, rows.values()))
+        return rows
 
     with monkeypatch.context() as patch:
         patch.setattr(null_dist, "WORK_BUDGET", 10**9)
-        patch.setattr(null_dist, "mul", counting(operator.mul))
-        patch.setattr(
-            null_dist, "exact_max_composition_count",
-            counting(null_dist.exact_max_composition_count),
-        )
+        patch.setattr(null_dist, "mul", mul)
+        patch.setattr(null_dist, "_side_rows", side_rows)
         run()
     return count[0]
 
