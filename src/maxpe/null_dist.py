@@ -48,12 +48,13 @@ def _check_budget(steps: int, law: str) -> None:
 
 
 class _Law:
-    """support, pmf/cdf lookups and the cdf build shared by the null and
+    """support, pmf/cdf/tail lookups and the cdf build shared by the null and
     Lehmann laws: tuple records with pmf_values on the support
-    0..len(pmf_values) - 1 and, last, the cdf_values that _cdf forms before
-    the record is built. Each law answers off its support in its own number
-    type, in _off_support(t, value), value being 0 below the support and,
-    for a cdf, 1 above it.
+    0..len(pmf_values) - 1, a `complete` flag that is False when the table
+    stops short of m, and, last, the cdf_values that _cdf forms before the
+    record is built. Off the support a law answers in its own number type,
+    _one: 0 below the support and, for a cdf, 1 above it. Above a truncated
+    table pmf and cdf raise ParameterError, and tail raises it at every t.
     """
 
     __slots__ = ()
@@ -71,6 +72,11 @@ class _Law:
     def support(self) -> range:
         return range(len(self.pmf_values))
 
+    def _off_support(self, t: int, value: int) -> Any:
+        if t >= 0 and not self.complete:
+            raise ParameterError(f"t = {t} beyond the truncated support")
+        return value * self._one
+
     def pmf(self, t: int) -> Any:
         if 0 <= t < len(self.pmf_values):
             return self.pmf_values[t]
@@ -80,6 +86,12 @@ class _Law:
         if 0 <= t < len(self.cdf_values):
             return self.cdf_values[t]
         return self._off_support(t, 0 if t < 0 else 1)
+
+    def tail(self, t: int) -> Any:
+        """P[T >= t]."""
+        if not self.complete:
+            raise ParameterError("tail probabilities need the complete support")
+        return self._tail(t)
 
 
 class NullDistribution(
@@ -92,6 +104,7 @@ class NullDistribution(
     """
 
     __slots__ = ()
+    _one = Fraction(1)
 
     def __new__(
         cls, m: int, n: int, r: int, s: int, pmf_values: Sequence[Fraction],
@@ -99,7 +112,7 @@ class NullDistribution(
     ) -> "NullDistribution":
         if any(p < 0 for p in pmf_values):
             raise ParameterError("pmf entries must be non-negative")
-        cdf_values, total = cls._cdf(pmf_values, Fraction(1))
+        cdf_values, total = cls._cdf(pmf_values, cls._one)
         if complete:
             if len(pmf_values) != m + 1:
                 raise ParameterError("complete support must cover 0..m")
@@ -107,17 +120,8 @@ class NullDistribution(
                 raise ParameterError(f"pmf sums to {total}, expected exactly 1")
         return super().__new__(cls, m, n, r, s, pmf_values, complete, cdf_values)
 
-    def _off_support(self, t: int, value: int) -> Fraction:
-        """value, unless the table is truncated and t lies above it."""
-        if t >= 0 and not self.complete:
-            raise ParameterError(f"t = {t} beyond the truncated support")
-        return Fraction(value)
-
-    def tail(self, t: int) -> Fraction:
-        """P[T >= t]."""
-        if not self.complete:
-            raise ParameterError("tail probabilities need the complete support")
-        return Fraction(1) - self.cdf(t - 1)
+    def _tail(self, t: int) -> Fraction:
+        return self._one - self.cdf(t - 1)
 
 
 def _validate_params(m: int, n: int, r: int, s: int) -> None:

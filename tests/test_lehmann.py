@@ -1,14 +1,20 @@
 import builtins
 import json
 import math
+import random
 import time
 import tracemalloc
+from decimal import Context, Decimal
+from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lehmann_oracle
-from maxpe import lehmann, null_dist
+import savage_oracle
+from maxpe import cli, inference, lehmann, null_dist
 from maxpe.errors import BudgetExceededError, NumericalError, ParameterError
 from maxpe.inference import (
     AlternativeSpec,
@@ -17,10 +23,12 @@ from maxpe.inference import (
     _chunk_statistics,
     _draw_block,
     _Job,
+    critical_value,
 )
 from maxpe.lehmann import (
     AlternativeDistribution,
     _beta_sums,
+    _ln,
     alternative_distribution,
     exact_power,
     joint_frequency_pmf_lehmann,
@@ -146,7 +154,7 @@ class TestAlternativeDistribution:
         m = 600
         tracemalloc.start()
         try:
-            lehmann._side(1, m, lehmann._precedence_factor(2.0))
+            lehmann._side(1, m, lehmann._precedence_logs(2.0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -237,6 +245,152 @@ class TestAgainstOracle:
             assert math.fsum(bucket) == pytest.approx(dist.pmf(t), abs=1e-13)
 
 
+@lru_cache(maxsize=None)
+def _savage_pmf(m, n, r, s, gamma):
+    return savage_oracle.alternative_pmf(m, n, r, s, gamma)
+
+
+# r != s and gamma < 1 among them; C(m + n, n) <= 3432 rank orders each
+SAVAGE_SHAPES = [
+    (5, 6, 2, 2, Fraction(2)),
+    (6, 5, 1, 3, Fraction(3)),
+    (4, 7, 2, 1, Fraction(1, 2)),
+    (7, 7, 2, 3, Fraction(3, 4)),
+    (6, 8, 3, 3, Fraction(5, 2)),
+]
+
+
+class TestAgainstSavage:
+    """The law and the power against exact rational enumeration of rank
+    orders (tests/savage_oracle.py), which shares none of the recurrences."""
+
+    @pytest.mark.parametrize("m,n,r,s,gamma", SAVAGE_SHAPES)
+    def test_full_pmf(self, m, n, r, s, gamma):
+        oracle = _savage_pmf(m, n, r, s, gamma)
+        assert sum(oracle) == 1
+        dist = alternative_distribution(m, n, r, s, float(gamma))
+        for p, expected in zip(dist.pmf_values, oracle, strict=True):
+            assert abs(p - expected) <= 1e-14
+
+    @pytest.mark.parametrize("m,n,r,s,gamma", SAVAGE_SHAPES)
+    def test_truncated_pmf(self, m, n, r, s, gamma):
+        oracle = _savage_pmf(m, n, r, s, gamma)
+        for t_max in range(m):
+            dist = alternative_distribution(m, n, r, s, float(gamma), t_max)
+            assert not dist.complete
+            for p, expected in zip(dist.pmf_values, oracle[: t_max + 1], strict=True):
+                assert abs(p - expected) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    @pytest.mark.parametrize("m,n,r,s,gamma", SAVAGE_SHAPES)
+    def test_exact_power(self, m, n, r, s, gamma, alpha):
+        crit = critical_value(m, n, r, s, alpha)
+        expected = savage_oracle.power(
+            _savage_pmf(m, n, r, s, gamma), crit.c, crit.alpha1, crit.alpha2, Fraction(alpha)
+        )
+        assert abs(exact_power(m, n, r, s, float(gamma), alpha) - expected) <= 1e-14
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestTruncatedLaw:
+    @pytest.mark.parametrize(
+        "m,n,r,s,gamma,t_max",
+        [
+            (40, 40, 3, 3, 2.0, 5),
+            (60, 50, 2, 4, 0.5, 7),
+            (120, 120, 1, 1, 3.0, 9),
+            (10, 400, 1, 1, 2.0, 3),  # n >> m
+            (30, 200, 4, 1, 1.5, 2),  # r != s, n >> m
+            (25, 25, 4, 4, 0.3, 0),
+            (12, 12, 2, 2, 5.0, 11),  # T = m: every table full, one entry short
+        ],
+    )
+    def test_prefix_of_the_full_law_bit_for_bit(self, m, n, r, s, gamma, t_max):
+        full = alternative_distribution(m, n, r, s, gamma)
+        part = alternative_distribution(m, n, r, s, gamma, t_max)
+        assert (part.complete, full.complete) == (False, True)
+        assert [p.hex() for p in part.pmf_values] == [p.hex() for p in full.pmf_values[: t_max + 1]]
+        assert part.cdf_values == full.cdf_values[: t_max + 1]
+        assert alternative_distribution(m, n, r, s, gamma, m + 5) == full
+
+    def test_lookups_above_a_truncated_table_are_refused(self):
+        part = alternative_distribution(20, 20, 2, 2, 2.0, 4)
+        assert (part.pmf(-1), part.cdf(-1)) == (0.0, 0.0)
+        assert part.cdf(4) == part.cdf_values[-1] < 1.0
+        for lookup in (part.pmf, part.cdf):
+            with pytest.raises(ParameterError, match="beyond the truncated support"):
+                lookup(5)
+        for t in (0, 3, 5):
+            with pytest.raises(ParameterError, match="complete support"):
+                part.tail(t)
+        with pytest.raises(ParameterError, match="t_max must be non-negative"):
+            alternative_distribution(20, 20, 2, 2, 2.0, -1)
+
+    def test_truncated_record_checks_only_excess_mass(self):
+        record = AlternativeDistribution(5, 5, 1, 1, 2.0, (0.25, 0.25), 1.0, complete=False)
+        assert record.cdf(1) == 0.5
+        with pytest.raises(NumericalError, match="sums to 1.5"):
+            AlternativeDistribution(5, 5, 1, 1, 2.0, (0.75, 0.75), 1.0, complete=False)
+
+    def test_exact_power_agrees_with_the_full_law(self, monkeypatch):
+        """A 40-entry sample of the exact_power_grid benchmark pool:
+        (1 - cdf(c - 1)) + phi pmf(c - 1) from the truncated law against
+        tail(c) + phi pmf(c - 1) from the full law."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        ops = [op for pool in workloads.ExactPowerGrid.shapes.values() for op in pool][::11]
+        assert len(ops) == 40
+        for op in ops:
+            args = op["m"], op["n"], op["r"], op["s"], op["gamma"]
+            crit = critical_value(*args[:4], op["alpha"])
+            full = alternative_distribution(*args)
+            alpha1, alpha2 = float(crit.alpha1), float(crit.alpha2)
+            expected = full.tail(crit.c)
+            if alpha2 > alpha1:
+                expected += (op["alpha"] - alpha1) / (alpha2 - alpha1) * full.pmf(crit.c - 1)
+            assert abs(exact_power(*args, op["alpha"]) - expected) <= 1e-14
+
+    def test_condition_estimate_reaches_the_benchmark_tracer(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import tracing
+
+        tracer = tracing.Tracer()
+        modules = {"cli": cli, "inference": inference, "lehmann": lehmann}
+        with tracer.patched(tracing.library_targets(modules)):
+            exact_power(12, 40, 1, 1, 0.5, 0.05)
+        [span] = [s for s in tracer.spans if s["name"] == "lehmann.alternative_distribution"]
+        c = critical_value(12, 40, 1, 1, 0.05).c
+        expected = alternative_distribution(12, 40, 1, 1, 0.5, c - 1).condition_estimate
+        assert span["info"] == {"condition": expected}
+        assert expected > 1.0
+        metrics = tracing.layer_metrics(tracer.spans, {"bcc_hits": 0, "bcc_misses": 0}, 1, 0.0)
+        assert metrics["lehmann.condition_max"] == (expected, "1")
+
+    def test_exact_power_counts_the_full_law_before_the_null_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the null table was built before the budget check")
+
+        monkeypatch.setattr(inference, "null_distribution", no_table)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            exact_power(400, 400, 40, 40, 2.0, 0.05)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_anchored_logarithm_is_the_nearest_float():
+    """ln S from a cached anchor and the atanh series rounds to the float
+    nearest the 80-digit logarithm, at the anchors' edges and over a wide
+    range of exponents."""
+    context = Context(prec=80, Emax=10**6, Emin=-(10**6))
+    rnd = random.Random(11)
+    values = [Decimal(v) for v in ("1", "1.005", "9.994999999", "9.995", "9.99999999", "1e-5000")]
+    values += [Decimal(rnd.uniform(1, 10)).scaleb(rnd.randint(-4000, 5)) for _ in range(3000)]
+    assert [_ln(x) for x in values] == [float(x.ln(context)) for x in values]
+
+
 class TestExactPower:
     def test_size_at_gamma_one(self):
         for m, n, r, s in [(10, 10, 1, 1), (8, 9, 2, 1)]:
@@ -274,16 +428,18 @@ def _assert_pinned_outputs(data_dir):
 
 
 def test_pmfs_and_powers_match_pinned_outputs(data_dir):
-    """pmfs and exact powers equal, bit for bit, the values recorded before
-    the Lehmann law shared the null kernel's cross step: r = 1, r != s and
-    n >> m among the shapes."""
+    """pmfs and exact powers equal, bit for bit, the values recorded once the
+    side tables read each cell's factors from one log-gamma table and
+    exact_power read a truncated law: r = 1, r != s and n >> m among the
+    shapes."""
     _assert_pinned_outputs(data_dir)
 
 
 def test_cancelling_shapes_match_pinned_outputs(data_dir):
-    """ln S of the diagonal Beta sums, and pmfs, at shapes whose Beta sums
-    cancel heavily equal, bit for bit, the values recorded while the sums
-    ran in mpmath: a change of arithmetic would show here first."""
+    """ln S of the diagonal Beta sums, recorded while the sums ran in mpmath,
+    and pmfs, recorded with the pmfs above, at shapes whose Beta sums cancel
+    heavily equal their pins bit for bit: a change of arithmetic would show
+    here first."""
     pinned = json.loads((data_dir / "pinned_outputs.json").read_text())["lehmann_cancelling"]
     for case in pinned:
         m, n, r, s, gamma = case["shape"]
@@ -293,6 +449,23 @@ def test_cancelling_shapes_match_pinned_outputs(data_dir):
         else:
             pmf = alternative_distribution(m, n, r, s, gamma).pmf_values
             assert [p.hex() for p in pmf] == case["pmf"]
+
+
+def test_pins_stay_near_their_previous_values(data_dir):
+    """Each re-recorded pin lies near the value it replaced, kept under
+    `previous`: pmf entries within 1e-12 relative, powers within 1e-14."""
+    pinned = json.loads((data_dir / "pinned_outputs.json").read_text())
+    cases = pinned["lehmann"] + [c for c in pinned["lehmann_cancelling"] if "pmf" in c]
+    assert len(cases) == 8
+    for case in cases:
+        old, new = (
+            [p if isinstance(p, float) else float.fromhex(p) for p in c["pmf"]]
+            for c in (case["previous"], case)
+        )
+        assert len(new) == len(old)
+        assert all(b == pytest.approx(a, rel=1e-12, abs=0) for a, b in zip(old, new))
+        if "exact_power" in case:
+            assert abs(case["exact_power"] - case["previous"]["exact_power"]) <= 1e-14
 
 
 def test_failed_beta_sum_is_a_numerical_error(monkeypatch):

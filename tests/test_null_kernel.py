@@ -91,30 +91,39 @@ def test_budget_counts_the_work_done(r, s, length, monkeypatch):
     assert _counted_steps(lehmann, monkeypatch) == null_dist._cross_steps(r, s, length, grids[0])
 
 
-def _counted_side_steps(length, m, monkeypatch):
-    """Multiply-adds lehmann._side performs: one per move, which makes one
-    exp, and one per pair of its row slices."""
-    count = [0]
+def _counted_side_steps(length, top, monkeypatch):
+    """Steps lehmann._side performs, weighed as lehmann._side_steps weighs
+    them: _ENTRY_STEPS per entry of its log tables, _MOVE_STEPS per move,
+    which makes one exp, and one per pair of its row slices."""
+    tables, moves, pairs = [0], [0], [0]
+    logs = lehmann._precedence_logs(2.0)
+
+    def counting_logs(k, t):
+        tables[0] += 1
+        return logs(k, t)
 
     def exp(x):
-        count[0] += 1
+        moves[0] += 1
         return math.exp(x)
 
     def counting_zip(*iterables):
         for pair in zip(*iterables):
-            count[0] += 1
+            pairs[0] += 1
             yield pair
 
     with monkeypatch.context() as patch:
         patch.setattr(lehmann, "math", SimpleNamespace(**{**vars(math), "exp": exp}))
         patch.setattr(lehmann, "zip", counting_zip, raising=False)
-        lehmann._side(length, m, lehmann._precedence_factor(2.0))
-    return count[0]
+        lehmann._side(length, top, counting_logs)
+    return lehmann._ENTRY_STEPS * tables[0] + lehmann._MOVE_STEPS * moves[0] + pairs[0]
 
 
-@pytest.mark.parametrize("length,m", [(1, 0), (1, 9), (2, 0), (2, 1), (2, 8), (3, 13), (4, 10), (6, 7)])
-def test_side_count_is_the_work_done(length, m, monkeypatch):
-    assert _counted_side_steps(length, m, monkeypatch) == lehmann._side_steps(length, m)
+@pytest.mark.parametrize(
+    "length,top",
+    [(1, 0), (1, 9), (2, 0), (2, 1), (2, 8), (3, 13), (4, 10), (6, 7), (5, 1), (7, 30), (40, 12)],
+)
+def test_side_count_is_the_work_done(length, top, monkeypatch):
+    assert _counted_side_steps(length, top, monkeypatch) == lehmann._side_steps(length, top)
 
 
 def test_budget_refuses_before_working():

@@ -64,14 +64,21 @@ CASES = {
         {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.75),
          "condition_estimate": 1.0},
         {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.75),
-         "condition_estimate": 1.0, "cdf_values": (0.25, 1.0)},
+         "condition_estimate": 1.0, "complete": True, "cdf_values": (0.25, 1.0)},
+    ),
+    "AlternativeDistribution-truncated": (
+        AlternativeDistribution, (9, 9, 1, 1, 2.0, (0.25, 0.5), 1.0, False),
+        {"m": 9, "n": 9, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.5),
+         "condition_estimate": 1.0, "complete": False},
+        {"m": 9, "n": 9, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.5),
+         "condition_estimate": 1.0, "complete": False, "cdf_values": (0.25, 0.75)},
     ),
     "AlternativeDistribution-clamped": (
         AlternativeDistribution, (1, 2, 1, 1, 2.0, (-1e-12, 1.0 + 1e-12), 3.0),
         {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (-1e-12, 1.0 + 1e-12),
          "condition_estimate": 3.0},
         {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.0, 1.0),
-         "condition_estimate": 3.0, "cdf_values": (0.0, 1.0)},
+         "condition_estimate": 3.0, "complete": True, "cdf_values": (0.0, 1.0)},
     ),
 }
 
@@ -98,6 +105,8 @@ def test_construction_equality_and_immutability(case):
         (SeededRng, (5,), {}, {"stream": 1}),
         (AlternativeSpec, ("lehmann", 2.0), {}, {"varied": "training"}),
         (NullDistribution, (1, 2, 1, 1, (Fraction(1, 3), Fraction(2, 3))), {},
+         {"complete": False}),
+        (AlternativeDistribution, (1, 2, 1, 1, 2.0, (0.25, 0.75), 1.0), {},
          {"complete": False}),
     ],
 )
