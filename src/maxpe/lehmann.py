@@ -8,12 +8,14 @@ cells, q = n - r - s. The pmf comes from three polynomial passes over
 positive quantities, so nothing cancels in floating point: side tables by a
 recurrence over (partial sum, running max) states, returned by largest cell,
 each cell's Beta factors over factorials read from one O(m) table of
-log-gamma differences; the link weights, each row from a row of S summed
+log-gamma differences, and no state holding a cell above the largest the
+law reads; the link weights, each row from a row of S summed
 from the row below, so that only the diagonal of S is an alternating sum
 (evaluated in decimal, its logarithm from a cached anchor and a short atanh
 series); and the null kernel's cross step. A law truncated to T <= t_max
-needs every table only up to the total min(m, max(r, s) t_max), whatever m.
-gamma = 1 recovers the exact null.
+needs every table only up to the total min(m, max(r, s) t_max), whatever m,
+and its side states only up to the largest cell t_max. gamma = 1 recovers
+the exact null.
 """
 
 from __future__ import annotations
@@ -153,59 +155,71 @@ def _log_chain(cells: Iterable[int], logs: _CellLogs) -> float:
     return acc
 
 
-def _side(length: int, top: int, logs: _CellLogs) -> tuple[list[float], list[list[float]]]:
+def _side(
+    length: int, top: int, logs: _CellLogs, peak: int
+) -> tuple[list[float], list[list[float]]]:
     """(scale, rows): exp(scale[t]) * rows[i][t - i] sums, over the vectors of
-    `length` cells with total t <= top and largest cell i, their chain
-    factors over their cell factorials; row i covers the band
-    i..min(length * i, top) outside of which every such sum is 0. Each
-    total's entries peak at 1, so floats neither overflow nor underflow.
+    `length` cells with total t <= top and largest cell i <= peak, their
+    chain factors over their cell factorials; row i covers the band
+    i..min(length * i, top) outside of which every such sum is 0, and
+    scale[t] is -inf at the totals no such vector reaches. Each total's
+    entries peak at 1, so floats neither overflow nor underflow.
 
-    After k cells, total t keeps its states only from its least largest
-    cell first[t] = ceil(t / k) on; the first cell holds the whole total.
-    Cell k >= 1 reads its factors from one table f[t] = logs(k, t),
-    t <= top + 1: the move from total t to u = t + v weighs
+    No state ever holds a cell above peak: after k cells, total t keeps its
+    states from its least largest cell first[t] = ceil(t / k) to min(t,
+    peak), and only the totals up to k * peak; the first cell holds the
+    whole total. Cell k >= 1 reads its factors from one table f[t] =
+    logs(k, t): the move from total t to u = t + v, v <= peak, weighs
     exp(h(t) - f[u + 1]), h(t) = scale[t] + f[t], and is made as
-    exp(h(t) - H(u)), H(u) the largest h(t') with t' <= u, so that
-    H(u) - f[u + 1] goes into scale[u]. A move adds the states below v, whose
-    running max v becomes, as one product with a running sum of the row
-    (formed left to right), and each of its t + 1 - max(v, first[t]) states
-    from there on to one entry, as _side_steps counts them. Every total's
-    row depends only on the totals below it, so a smaller top gives the
-    same bits for the totals it keeps."""
-    first = list(range(top + 1))
+    exp(h(t) - H(u)), H(u) the largest h(t') over the totals t' that reach
+    u, so that H(u) - f[u + 1] goes into scale[u]. A move adds the states
+    below v, whose running max v becomes, as one product with a running sum
+    of the row (formed left to right), and each of its states from max(v,
+    first[t]) on to one entry, as _side_steps counts them. With peak = top
+    no move is skipped: every total's row then depends only on the totals
+    below it, so a smaller top gives the same bits for the totals it keeps.
+    A smaller peak normalizes each total over fewer states, so its rows
+    agree with the uncapped ones to rounding, not bit for bit."""
+    reach = min(top, peak)  # the largest total the cells so far hold
+    first = list(range(reach + 1))
     # the first cell holds the whole total u, of weight 1 / u! = exp(-f[u + 1])
-    scale = [-x for x in map(logs, [0] * (top + 1), range(1, top + 2))]
-    w = [[1.0]] * (top + 1)  # w[total][largest - first[total]]
+    scale = [-x for x in map(logs, [0] * (reach + 1), range(1, reach + 2))]
+    scale += [-math.inf] * (top - reach)
+    w = [[1.0]] * (reach + 1)  # w[total][largest - first[total]]
     for k in range(1, length):
-        f = [logs(k, t) for t in range(top + 2)]
+        grown = min(top, (k + 1) * peak)
+        f = [logs(k, t) for t in range(grown + 2)]
         h = list(map(add, scale, f))
-        peaks = list(accumulate(h, max))
         prefix = [list(accumulate(row, initial=0.0)) for row in w]  # sum(row[:j])
-        band = [-(-u // (k + 1)) for u in range(top + 1)]
+        band = [-(-u // (k + 1)) for u in range(grown + 1)]
+        w += [[]] * (grown - reach)
         # totals high to low: total u reads only the states t <= u, not yet
         # replaced, and adds their moves with t ascending
-        for u in range(top, -1, -1):
-            h_max, b = peaks[u], band[u]
-            moves = [math.exp(h_t - h_max) for h_t in h[: u + 1]]
-            half = (u + 1) // 2
+        for u in range(grown, -1, -1):
+            lo = u - peak if u > peak else 0
+            reached = h[lo : (u if u < reach else reach) + 1]
+            h_max = max(reached)
+            moves = [math.exp(h_t - h_max) for h_t in reached]  # moves[t - lo]
+            half, b = (u + 1) // 2, band[u]
             # a cell v = u - t above every state of t < half sets their
             # running max: out[v - b] is one product with the row's sum
-            out = [0.0] * (u + 1 - half - b) + [
-                moves[t] * prefix[t][-1] for t in range(half - 1, -1, -1)
+            out = [0.0] * ((u - half if u - half < peak else peak) + 1 - b) + [
+                moves[t - lo] * prefix[t][-1] for t in range(half - 1, lo - 1, -1)
             ]
-            for t in range(half, u + 1):
-                v, c, row, a = u - t, moves[t], w[t], first[t]
-                i = a  # the states from i on keep their largest cell
+            for t in range(half if half > lo else lo, lo + len(moves)):
+                v, c, row, a = u - t, moves[t - lo], w[t], first[t]
+                i, end = a, (t if t < peak else peak) + 1 - b  # the states from i on keep their largest cell
                 if v > a:
                     out[v - b] += c * prefix[t][v - a]
                     i = v
-                out[i - b : t + 1 - b] = [o + c * x for o, x in zip(out[i - b : t + 1 - b], row[i - a :])]
-            peak = max(out)
-            scale[u] = h_max - f[u + 1] + math.log(peak)
-            w[u] = [x / peak for x in out]
-        first = band
+                out[i - b : end] = [o + c * x for o, x in zip(out[i - b : end], row[i - a :])]
+            most = max(out)
+            scale[u] = h_max - f[u + 1] + math.log(most)
+            w[u] = [x / most for x in out]
+        first, reach = band, grown
     return scale, [
-        [w[t][i - first[t]] for t in range(i, min(length * i, top) + 1)] for i in range(top + 1)
+        [w[t][i - first[t]] for t in range(i, min(length * i, top) + 1)]
+        for i in range(min(top, peak) + 1)
     ]
 
 
@@ -357,68 +371,80 @@ def joint_frequency_pmf_lehmann(fv: FrequencyVector, gamma: float) -> float:
     return min(1.0, math.exp(log_p))
 
 
-def _quadratic_sum(c0: int, c1: int, c2: int, lo: int, hi: int) -> int:
-    """c0 + c1 i + c2 i^2 summed over i = lo..hi, 0 <= lo; 0 when hi < lo."""
-    if hi < lo:
-        return 0
-    squares = (hi * (hi + 1) * (2 * hi + 1) - (lo - 1) * lo * (2 * lo - 1)) // 6
-    return c0 * (hi - lo + 1) + c1 * _series(lo, hi) + c2 * squares
+def _piecewise_sum(g: Callable[[int], int], ends: Iterable[int], hi: int) -> int:
+    """g(0) + g(1) + ... + g(hi), g a polynomial of degree at most 2 on each
+    piece lo..end that `ends` cut 0..hi into: n g(lo) + C(n, 2) dg + C(n, 3)
+    d2g from g's first three values on the piece, n = end - lo + 1 (Newton's
+    forward differences; the values past a shorter piece weigh 0)."""
+    total, lo = 0, 0
+    for end in sorted({e for e in ends if e < hi} | {hi}):
+        n = end - lo + 1
+        if n > 0:
+            g0, g1, g2 = g(lo), g(lo + 1), g(lo + 2)
+            total += n * g0 + n * (n - 1) // 2 * (g1 - g0) + n * (n - 1) * (n - 2) // 6 * (g2 - 2 * g1 + g0)
+            lo = end + 1
+    return total
 
 
-def _band_gap(k: int, top: int) -> int:
-    """Slice pairs a later cell of _side skips because the states of the k
-    cells before it start at ceil(t / k): the (t, v, i) with v <= i, k i < t
-    and t + v <= top. For fixed i, v runs to i while top - k i > i, that is
-    up to i1, giving (i + 1)(top - k i) - i (i + 1) / 2 pairs, and below
-    that x (x + 1) / 2, x = top - k i, while x > 0, up to i2."""
-    i1, i2 = (top - 1) // (k + 1), (top - 1) // k
+def _side_steps(length: int, top: int, peak: int) -> int:
+    """Steps of _side(length, top, ..., peak), counted before any:
+    _ENTRY_STEPS per entry of its log tables, min(top, peak) + 1 for the
+    first cell and min(top, (k + 1) peak) + 2 for cell k; and per later
+    cell, _MOVE_STEPS per move, one from each total t <= min(top, k peak) by
+    each v <= min(peak, top - t), and one step per pair of its row slices:
+    the (t, v, i) with v <= i <= min(t, peak), t <= k i (i at least first[t])
+    and t + v <= top. Over t for fixed (v, i) that is min(k i, top - v) - i +
+    1 pairs, a polynomial in i between the breaks top // (k + 1), top // 2
+    and top // k. From k = top on every cell counts the same."""
+    def cell(k: int) -> int:
+        moves = _piecewise_sum(lambda t: min(peak, top - t) + 1, [top - peak], min(top, k * peak))
+
+        def pairs(i: int) -> int:  # the pairs of largest cell i, over v
+            last = min(i, top - i)
+            kept = max(0, min(last, top - k * i) + 1)  # the v whose t run up to k i
+            return kept * (k * i - i + 1) + (last + 1 - kept) * (top - i + 1) - _series(kept, last)
+
+        slices = _piecewise_sum(pairs, [top // (k + 1), top // 2, top // k], min(top, peak))
+        return _ENTRY_STEPS * (min(top, (k + 1) * peak) + 2) + _MOVE_STEPS * moves + slices
+
+    same = max(top, 1)
     return (
-        _quadratic_sum(2 * top, 2 * top - 2 * k - 1, -(2 * k + 1), 0, i1)
-        + _quadratic_sum(top * top + top, -k * (2 * top + 1), k * k, i1 + 1, i2)
-    ) // 2
-
-
-def _side_steps(length: int, top: int) -> int:
-    """Steps of _side(length, top, ...), counted before any: _ENTRY_STEPS
-    per entry of its log tables, top + 1 for the first cell and top + 2 for
-    each later one; and per later cell, _MOVE_STEPS per move, one from each
-    t <= u to each u <= top, and one step per pair of its row slices. A cell
-    v added to total t pairs t + 1 - max(v, ceil(t / k)) states when v <= t.
-    Without the bands, for fixed u the terms max(0, 2t + 1 - u) sum to
-    (u // 2 + 1) * ((u + 1) // 2 + 1): over u = 0..top, the squares up to
-    e = top // 2 + 1 and the products j (j + 1) up to o = (top + 1) // 2;
-    _band_gap takes off what the bands skip, top for every k >= top."""
-    e, o = top // 2 + 1, (top + 1) // 2
-    tri = (top + 1) * (top + 2) // 2
-    pairs = e * (e + 1) * (2 * e + 1) // 6 + o * (o + 1) * (o + 2) // 3
-    gaps = sum(_band_gap(k, top) for k in range(1, min(length, top)))
-    gaps += max(0, length - max(top, 1)) * top
-    return (
-        _ENTRY_STEPS * (length * (top + 2) - 1) + (length - 1) * (_MOVE_STEPS * tri + pairs) - gaps
+        _ENTRY_STEPS * (min(top, peak) + 1) + sum(map(cell, range(1, min(length, same))))
+        + max(0, length - same) * cell(same)
     )
 
 
-def _steps(
-    m: int, n: int, r: int, s: int, digits: int, top: int, cells: list[tuple[int, int, int]]
-) -> int:
-    """Work of alternative_distribution over `cells`, its tables stopping at
-    the total `top` and its diagonal Beta sums at `digits` working digits,
-    in steps, counted before any is done."""
-    tri = (top + 1) * (top + 2) // 2  # entries of an (n1, t) table
+def _steps(m: int, n: int, r: int, s: int, digits: int, top: int) -> int:
+    """Work of alternative_distribution(m, n, r, s, ., top), its diagonal
+    Beta sums at `digits` working digits, in steps, counted before any is
+    done."""
+    cap = min(m, max(r, s) * top)
+    steps = _table_steps(m, n, r, s, top)
     q = n - r - s
+    if q:
+        # per Beta-sum term, m + 1 factors of its first value, T steps and
+        # T + 1 additions into the sums
+        steps += (_MP_STEPS + digits // _MP_DIGITS_PER_STEP) * (q + 1) * (m + 2 * cap + 2)
+    return steps
+
+
+@lru_cache(maxsize=128)
+def _table_steps(m: int, n: int, r: int, s: int, top: int) -> int:
+    """The steps of _steps that do not depend on gamma, over the cells i + j
+    <= top and the totals up to T = min(m, max(r, s) top); cached, as
+    exact_power counts the full law's and builds a truncated law."""
+    cap = min(m, max(r, s) * top)
+    tri = (cap + 1) * (cap + 2) // 2  # entries of an (n1, t) table
     # each cell's normalized table of at most tri entries; the rows of S and
     # the link table; one sum per H_j entry and per cell of the cross step
     entries = (r + s + 4) * tri
     # the side tables, _side's copy of at most tri entries per side into rows
     # by largest cell, and the cross step's multiply-adds
-    steps = _side_steps(r, top) + _side_steps(s, top) + 2 * tri + _cross_steps(r, s, top, cells)
-    steps += _ENTRY_STEPS * entries
-    if q:
-        # the m + 1 entries of the digit bound; per Beta-sum term, m + 1
-        # factors of its first value, top steps and top + 1 additions into
-        # the sums; and top + 1 logarithms
-        weight = _MP_STEPS + digits // _MP_DIGITS_PER_STEP
-        steps += _ENTRY_STEPS * (m + top + 2) + weight * (q + 1) * (m + 2 * top + 2)
+    steps = _side_steps(r, cap, top) + _side_steps(s, cap, top) + 2 * tri
+    steps += _cross_steps(r, s, cap, _full_cells(top)) + _ENTRY_STEPS * entries
+    if n - r - s:
+        # the m + 1 entries of the digit bound, and T + 1 logarithms
+        steps += _ENTRY_STEPS * (m + cap + 2)
     return steps
 
 
@@ -435,8 +461,9 @@ def alternative_distribution(
     (i, j) with i + j <= t_max (T = m without t_max):
 
     1. side tables P[n1][i] and E[n2][j], summed over the vectors with cell
-       total n1 (n2) and largest cell i (j): T^2 / 2 moves per cell after
-       the first, and about (r + s - 2) T^3 / 12 multiply-adds in all;
+       total n1 (n2) and largest cell i (j) <= t_max: about T t_max moves
+       per cell after the first (T^2 / 2 for the full law), and about
+       (r + s - 2) T^3 / 12 multiply-adds in all for the full law;
     2. the Beta sums S(n1, t) from S(n1, t) = S(n1, t-1) + S(n1+1, t), with
        only the T + 1 diagonal sums evaluated, in decimal: (q + 1)(m + 2T + 2)
        products at the working digits, and T + 1 logarithms;
@@ -449,8 +476,9 @@ def alternative_distribution(
 
     Passes 1 and 2 also build O(T^2) tables, a side's by-total triangle and
     the link table, which _steps counts with the passes. A truncated law
-    (complete=False) equals the full law's first t_max + 1 entries bit for
-    bit. Raises BudgetExceededError, before any work, above WORK_BUDGET
+    (complete=False) agrees with the full law's first t_max + 1 entries to
+    rounding: its side tables never form the states above t_max, so they
+    cannot share the full law's per-total normalization. Raises BudgetExceededError, before any work, above WORK_BUDGET
     steps, and a failed diagonal Beta sum is a NumericalError before any
     table is built.
     """
@@ -459,13 +487,12 @@ def alternative_distribution(
     if top < 0:
         raise ParameterError("t_max must be non-negative")
     cap = min(m, max(r, s) * top)  # T: the largest total a cell i + j <= top reads
-    cells = _full_cells(top)
     q = n - r - s
     digits = _diagonal_digits(m, n, r, s, gamma)
-    _check_budget(_steps(m, n, r, s, digits, cap, cells), "Lehmann-law")
+    _check_budget(_steps(m, n, r, s, digits, top), "Lehmann-law")
     diagonal = _beta_sums(0, m + 1, q, r, gamma, cap + 1, digits)  # (ln S(t, t), condition)
-    scale_p, rows_p = _side(r, cap, _precedence_logs(gamma))
-    scale_e, rows_e = _side(s, cap, _exceedance_logs(m, n, gamma))
+    scale_p, rows_p = _side(r, cap, _precedence_logs(gamma), top)
+    scale_e, rows_e = _side(s, cap, _exceedance_logs(m, n, gamma), top)
     log_c, log_perm = _log_counts(m, n, r, s, gamma, cap)
     # link[n1][t - n1] from ln S(n1, t), t = n1..T, whose row is the running
     # log-sum of the row below: S(n1, t) = S(n1, t-1) + S(n1+1, t). One
@@ -479,7 +506,7 @@ def alternative_distribution(
             math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_st)
             for t, log_st in enumerate(log_s, n1)
         ]
-    pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, cap, _float_sum)
+    pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], _full_cells(top), cap, _float_sum)
     return AlternativeDistribution(
         m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf),
         condition_estimate=max(condition for _, condition in diagonal), complete=top == m,
@@ -497,7 +524,7 @@ def exact_power(m: int, n: int, r: int, s: int, gamma: float, alpha: float) -> f
     from .inference import critical_value
 
     digits = _diagonal_digits(m, n, r, s, gamma)
-    _check_budget(_steps(m, n, r, s, digits, m, _full_cells(m)), "Lehmann-law")
+    _check_budget(_steps(m, n, r, s, digits, m), "Lehmann-law")
     crit = critical_value(m, n, r, s, alpha)
     top = crit.c - 1  # c >= 1: P[T >= 0] = 1 exceeds every alpha
     dist = alternative_distribution(m, n, r, s, gamma, top)

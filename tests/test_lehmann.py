@@ -1,7 +1,9 @@
 import builtins
+import itertools
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from decimal import Context, Decimal
@@ -154,7 +156,7 @@ class TestAlternativeDistribution:
         m = 600
         tracemalloc.start()
         try:
-            lehmann._side(1, m, lehmann._precedence_logs(2.0))
+            lehmann._side(1, m, lehmann._precedence_logs(2.0), m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -307,13 +309,34 @@ class TestTruncatedLaw:
             (12, 12, 2, 2, 5.0, 11),  # T = m: every table full, one entry short
         ],
     )
-    def test_prefix_of_the_full_law_bit_for_bit(self, m, n, r, s, gamma, t_max):
+    def test_prefix_of_the_full_law(self, m, n, r, s, gamma, t_max):
         full = alternative_distribution(m, n, r, s, gamma)
         part = alternative_distribution(m, n, r, s, gamma, t_max)
         assert (part.complete, full.complete) == (False, True)
-        assert [p.hex() for p in part.pmf_values] == [p.hex() for p in full.pmf_values[: t_max + 1]]
-        assert part.cdf_values == full.cdf_values[: t_max + 1]
+        prefix = slice(0, t_max + 1)
+        for got, expected in ((part.pmf_values, full.pmf_values[prefix]),
+                              (part.cdf_values, full.cdf_values[prefix])):
+            assert len(got) == len(expected)
+            assert all(b == pytest.approx(a, rel=1e-14, abs=0) for a, b in zip(expected, got))
         assert alternative_distribution(m, n, r, s, gamma, m + 5) == full
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_capped_side_rows_equal_the_uncapped_rows(self, length):
+        """Rows i <= peak of a side that never forms a cell above peak, times
+        exp of their scale, against the uncapped side's: within 1e-14
+        relative plus four units of rounding of the scale, a sum of logs
+        that both sides round (|scale| reaches 88 at top = 30)."""
+        for top, gamma in itertools.product((0, 3, 11, 30), (0.25, 1.0, 3.7)):
+            for logs in lehmann._precedence_logs(gamma), lehmann._exceedance_logs(top, 9, gamma):
+                scale, rows = lehmann._side(length, top, logs, top)
+                for peak in range(top + 1):
+                    capped_scale, capped = lehmann._side(length, top, logs, peak)
+                    assert len(capped) == peak + 1
+                    for i, (row, capped_row) in enumerate(zip(rows, capped)):
+                        assert len(capped_row) == len(row)
+                        for t, x, y in zip(itertools.count(i), row, capped_row):
+                            tolerance = 1e-14 + 4 * sys.float_info.epsilon * abs(scale[t])
+                            assert abs(math.exp(capped_scale[t] - scale[t]) * y - x) <= tolerance * x
 
     def test_lookups_above_a_truncated_table_are_refused(self):
         part = alternative_distribution(20, 20, 2, 2, 2.0, 4)

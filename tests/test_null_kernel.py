@@ -91,7 +91,7 @@ def test_budget_counts_the_work_done(r, s, length, monkeypatch):
     assert _counted_steps(lehmann, monkeypatch) == null_dist._cross_steps(r, s, length, grids[0])
 
 
-def _counted_side_steps(length, top, monkeypatch):
+def _counted_side_steps(length, top, peak, monkeypatch):
     """Steps lehmann._side performs, weighed as lehmann._side_steps weighs
     them: _ENTRY_STEPS per entry of its log tables, _MOVE_STEPS per move,
     which makes one exp, and one per pair of its row slices."""
@@ -114,16 +114,21 @@ def _counted_side_steps(length, top, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(lehmann, "math", SimpleNamespace(**{**vars(math), "exp": exp}))
         patch.setattr(lehmann, "zip", counting_zip, raising=False)
-        lehmann._side(length, top, counting_logs)
+        lehmann._side(length, top, counting_logs, peak)
     return lehmann._ENTRY_STEPS * tables[0] + lehmann._MOVE_STEPS * moves[0] + pairs[0]
 
 
 @pytest.mark.parametrize(
-    "length,top",
-    [(1, 0), (1, 9), (2, 0), (2, 1), (2, 8), (3, 13), (4, 10), (6, 7), (5, 1), (7, 30), (40, 12)],
+    "length,top,peak",
+    [(1, 0, 0), (1, 9, 9), (2, 0, 0), (2, 1, 1), (2, 8, 8), (3, 13, 13), (4, 10, 10), (6, 7, 7),
+     (5, 1, 1), (7, 30, 30), (40, 12, 12)]
+    # capped sides: no state holds a cell above peak
+    + [(1, 9, 2), (2, 8, 3), (3, 13, 4), (4, 10, 0), (4, 10, 1), (5, 20, 6), (6, 7, 6),
+       (7, 30, 11), (11, 25, 24), (40, 12, 5)],
 )
-def test_side_count_is_the_work_done(length, top, monkeypatch):
-    assert _counted_side_steps(length, top, monkeypatch) == lehmann._side_steps(length, top)
+def test_side_count_is_the_work_done(length, top, peak, monkeypatch):
+    counted = _counted_side_steps(length, top, peak, monkeypatch)
+    assert counted == lehmann._side_steps(length, top, peak)
 
 
 def test_budget_refuses_before_working():
