@@ -11,11 +11,12 @@ each cell's Beta factors over factorials read from one O(m) table of
 log-gamma differences, and no state holding a cell above the largest the
 law reads; the link weights, each row from a row of S summed
 from the row below, so that only the diagonal of S is an alternating sum
-(evaluated in decimal, its logarithm from a cached anchor and a short atanh
-series); and the null kernel's cross step. A law truncated to T <= t_max
+(evaluated in decimal, its logarithm from the float logarithm of its
+mantissa); and the null kernel's cross step. A law truncated to T <= t_max
 needs every table only up to the total min(m, max(r, s) t_max), whatever m,
-and its side states only up to the largest cell t_max. gamma = 1 recovers
-the exact null.
+its side states only up to the largest cell t_max, and its diagonal Beta
+sums only the working digits the first T + 1 of them need. gamma = 1
+recovers the exact null.
 """
 
 from __future__ import annotations
@@ -59,12 +60,6 @@ _MP_DIGITS_PER_STEP = 170
 
 _PMF_SLACK = 1e-9
 _NORMALIZATION_SLACK = 1e-6
-
-# ln of a Beta sum: digits, anchor spacing and the atanh series' 1/(2j + 1)
-_LN_CONTEXT = Context(prec=45, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_ANCHOR = Decimal("0.01")
-_TEN = Decimal("10.00")
-_ATANH = [_LN_CONTEXT.divide(1, k) for k in range(19, 0, -2)]
 
 # f(k, t) of one side's cell k at total t; see _precedence_logs
 _CellLogs = Callable[[int, int], float]
@@ -239,50 +234,56 @@ def _log_lower_bound(a: float, b: int, q: int, gamma: float) -> float:
     return max(bounds) - math.log(a)
 
 
-def _beta_sum_digits(a: Sequence[float], b: int, q: int, gamma: float) -> int:
-    """Working digits of _beta_sums with a_k = a[k]: _GUARD_DIGITS beyond
-    those the worst cancellation can cost, bounded before any term is
-    formed. The terms of S_k add up to at most 2^q B(a_k, b - k), as B falls
-    in its first argument, and S_k is at least e^_log_lower_bound."""
-    loss = max(
+def _digit_losses(a: Sequence[float], b: int, q: int, gamma: float) -> list[float]:
+    """ln of the worst cancellation each S_k of _beta_sums with a_k = a[k]
+    can suffer, bounded before any term is formed: the terms of S_k add up
+    to at most 2^q B(a_k, b - k), as B falls in its first argument, and S_k
+    is at least e^_log_lower_bound."""
+    return [
         q * math.log(2) + log_beta(a_k, b - k) - _log_lower_bound(a_k, b - k, q, gamma)
         for k, a_k in enumerate(a)
-    )
-    return max(0, math.ceil(loss / math.log(10))) + _GUARD_DIGITS
+    ]
+
+
+def _digits(losses: Iterable[float]) -> int:
+    """Working digits of Beta sums: _GUARD_DIGITS beyond those the worst of
+    their cancellations can cost."""
+    return max(0, math.ceil(max(losses) / math.log(10))) + _GUARD_DIGITS
 
 
 @lru_cache(maxsize=32)
-def _diagonal_digits(m: int, n: int, r: int, s: int, gamma: float) -> int:
-    """Working digits of the m + 1 diagonal Beta sums S(t, t) of the full
-    law, 0 when q = 0 leaves nothing to cancel. A truncated law uses the
-    same digits, so its sums keep the full law's bits. Cached: exact_power
-    counts the full law's work with them, then builds a truncated law."""
-    q = n - r - s
-    return _beta_sum_digits([t + r * gamma for t in range(m + 1)], m + 1, q, gamma) if q else 0
+def _diagonal_losses(m: int, n: int, r: int, s: int, gamma: float) -> list[float]:
+    """_digit_losses of the m + 1 diagonal Beta sums S(t, t). Cached:
+    exact_power counts the full law's work with the digits of all of them,
+    then builds a truncated law with those of its first T + 1."""
+    return _digit_losses([t + r * gamma for t in range(m + 1)], m + 1, n - r - s, gamma)
 
 
-@lru_cache(maxsize=None)  # keys are the 901 anchors 1.00, 1.01, ..., 10.00
-def _ln_anchor(a: Decimal) -> Decimal:
-    return a.ln(_LN_CONTEXT)
+def _diagonal_digits(m: int, n: int, r: int, s: int, gamma: float, cap: int) -> int:
+    """Working digits of the diagonal Beta sums S(t, t), t <= cap, 0 when
+    q = 0 leaves nothing to cancel."""
+    return _digits(_diagonal_losses(m, n, r, s, gamma)[: cap + 1]) if n - r - s else 0
+
+
+# ln 10 in two parts: e * _LN10_HI is exact for |e| < 2^27, and _LN10_LO
+# carries the next 53 bits
+_LN10_HI = 77261934 / 2**25
+_LN10_LO = 2.7629208037533617e-08
+_MANTISSA = Context(prec=20)
 
 
 def _ln(x: Decimal) -> float:
-    """ln x for x > 0, as ln a + 2 atanh((mu - a) / (mu + a)) + e ln 10 at 45
-    digits: x = mu 10^e with 1 <= mu < 10, and a is mu rounded to 0.01, so
-    |z| = |mu - a| / (mu + a) <= 0.0025 and ten terms of the series
-    atanh z = z + z^3 / 3 + ... leave out less than 1e-55. That is within
-    1e-28 of a unit in the last place of the float nearest ln x, which
-    float() then rounds to. It takes a few microseconds; Decimal.ln takes
-    tens at any digits."""
-    with localcontext(_LN_CONTEXT):
-        e = x.adjusted()
-        mu = x.scaleb(-e)
-        a = mu.quantize(_ANCHOR)
-        z = (mu - a) / (mu + a)
-        z2, series = z * z, 0
-        for inverse in _ATANH:
-            series = series * z2 + inverse
-        return float(_ln_anchor(a) + 2 * z * series + e * _ln_anchor(_TEN))
+    """ln x for x > 0, as the float sum of ln mu, e ln10_hi and e ln10_lo,
+    x = mu 10^e with mu rounded to 20 digits and then to a float: the
+    mantissa, 1 <= mu < 10, for |e| > 10, and x itself (e = 0) below, where
+    ln mu would cancel against e ln 10. Rounding mu to a float costs at most
+    1.2e-16, math.log about half a unit in the last place, and math.fsum
+    rounds the exact sum once, so the result is within about a unit in the
+    last place of max(1, |ln x|). Decimal.ln takes tens of microseconds at
+    any digits."""
+    e = x.adjusted()
+    e = e if abs(e) > 10 else 0
+    return math.fsum((math.log(float(x.scaleb(-e, _MANTISSA))), e * _LN10_HI, e * _LN10_LO))
 
 
 def _beta_sums(
@@ -294,8 +295,9 @@ def _beta_sums(
 
     B(x, b) = (b-1)! / (x (x+1) ... (x+b-1)) for whole b, and stepping k
     multiplies a term by (x_l + k) / (b-k-1). The sums run in the standard
-    library's decimal, in C, at the `digits` of _beta_sum_digits, formed
-    here unless the caller has them. Each term
+    library's decimal, in C, at `digits` working digits, by default the
+    _digits of their own _digit_losses; a caller passes the digits of a
+    longer list of sums that holds them. Each term
     is formed once, as C(q, l) (b-1)! over the product of its b factors,
     and then only multiplied by x_l + k: S_k is the sum of the terms once
     divided by the exact integer (b-1)! / (b-1-k)!, and condition_k their
@@ -304,19 +306,19 @@ def _beta_sums(
     Each rounding errs by at most half a unit in the last working digit. A
     term carries the roundings of its b + k factors and products and of
     its division, and each of the q additions of the sums errs by at most
-    as much of the sum of magnitudes, which _beta_sum_digits keeps below
+    as much of the sum of magnitudes, which the digits keep below
     10^(digits - 20) S_k. So S_k is off by at most (2 (b + k) + q + 3)
     5e-20 of itself, below 1e-14 while b, k and q stay below 3e4, and
     far less in practice: roundings partly cancel, and the bounds behind
     the digits are not tight. decimal sums left to right, one rounded addition at a time;
     Python 3.12's compensated sum() changes only float sums. ln S_k comes
-    from _ln, at 45 digits from a cached anchor.
+    from _ln, within about a unit in its last place.
     """
     a = [n1 + k + r * gamma for k in range(count)]
     if q == 0:
         return [(log_beta(a[k], b - k), 1.0) for k in range(count)]
     if digits is None:
-        digits = _beta_sum_digits(a, b, q, gamma)
+        digits = _digits(_digit_losses(a, b, q, gamma))
     with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         g = Decimal(gamma)
         x = [n1 + r * g + g * l for l in range(q + 1)]
@@ -488,7 +490,7 @@ def alternative_distribution(
         raise ParameterError("t_max must be non-negative")
     cap = min(m, max(r, s) * top)  # T: the largest total a cell i + j <= top reads
     q = n - r - s
-    digits = _diagonal_digits(m, n, r, s, gamma)
+    digits = _diagonal_digits(m, n, r, s, gamma, cap)
     _check_budget(_steps(m, n, r, s, digits, top), "Lehmann-law")
     diagonal = _beta_sums(0, m + 1, q, r, gamma, cap + 1, digits)  # (ln S(t, t), condition)
     scale_p, rows_p = _side(r, cap, _precedence_logs(gamma), top)
@@ -523,7 +525,7 @@ def exact_power(m: int, n: int, r: int, s: int, gamma: float, alpha: float) -> f
     _validate(m, n, r, s, gamma)
     from .inference import critical_value
 
-    digits = _diagonal_digits(m, n, r, s, gamma)
+    digits = _diagonal_digits(m, n, r, s, gamma, m)
     _check_budget(_steps(m, n, r, s, digits, m), "Lehmann-law")
     crit = critical_value(m, n, r, s, alpha)
     top = crit.c - 1  # c >= 1: P[T >= 0] = 1 exceeds every alpha
