@@ -212,8 +212,10 @@ def critical_value(
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if method == "exact":
         dist = null_distribution(m, n, r, s)
-        tails = [dist.tail(t) for t in range(m + 2)]
-        return _critical_from_tails(tails, alpha)
+        # P[T >= c] = 1 - cdf(c - 1) <= alpha, compared exactly; cdf(m) = 1
+        bound = 1 - Fraction(alpha)
+        c = next(t for t, cdf in enumerate(dist.cdf_values, 1) if cdf >= bound)
+        return CriticalValue(c, dist.tail(c), dist.tail(c - 1))
     if method == "monte_carlo":
         if reps < _MIN_CALIBRATION_REPS:
             raise ParameterError(

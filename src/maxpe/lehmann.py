@@ -203,7 +203,8 @@ def _side(
             ]
             for t in range(half if half > lo else lo, lo + len(moves)):
                 v, c, row, a = u - t, moves[t - lo], w[t], first[t]
-                i, end = a, (t if t < peak else peak) + 1 - b  # the states from i on keep their largest cell
+                # the states from i to min(t, peak) keep their largest cell
+                i, end = a, (t if t < peak else peak) + 1 - b
                 if v > a:
                     out[v - b] += c * prefix[t][v - a]
                     i = v
@@ -252,11 +253,11 @@ def _digits(losses: Iterable[float]) -> int:
 
 
 @lru_cache(maxsize=32)
-def _diagonal_losses(m: int, n: int, r: int, s: int, gamma: float) -> list[float]:
+def _diagonal_losses(m: int, n: int, r: int, s: int, gamma: float) -> tuple[float, ...]:
     """_digit_losses of the m + 1 diagonal Beta sums S(t, t). Cached:
     exact_power counts the full law's work with the digits of all of them,
     then builds a truncated law with those of its first T + 1."""
-    return _digit_losses([t + r * gamma for t in range(m + 1)], m + 1, n - r - s, gamma)
+    return tuple(_digit_losses([t + r * gamma for t in range(m + 1)], m + 1, n - r - s, gamma))
 
 
 def _diagonal_digits(m: int, n: int, r: int, s: int, gamma: float, cap: int) -> int:
@@ -344,8 +345,9 @@ def _beta_sums(
 
 def _log_add(a: float, b: float) -> float:
     """ln(e^a + e^b)."""
-    lo, hi = sorted((a, b))
-    return hi + math.log1p(math.exp(lo - hi))
+    if a > b:
+        a, b = b, a
+    return b + math.log1p(math.exp(a - b))
 
 
 def _log_counts(
@@ -383,7 +385,8 @@ def _piecewise_sum(g: Callable[[int], int], ends: Iterable[int], hi: int) -> int
         n = end - lo + 1
         if n > 0:
             g0, g1, g2 = g(lo), g(lo + 1), g(lo + 2)
-            total += n * g0 + n * (n - 1) // 2 * (g1 - g0) + n * (n - 1) * (n - 2) // 6 * (g2 - 2 * g1 + g0)
+            total += n * g0 + n * (n - 1) // 2 * (g1 - g0)
+            total += n * (n - 1) * (n - 2) // 6 * (g2 - 2 * g1 + g0)
             lo = end + 1
     return total
 
@@ -433,8 +436,8 @@ def _steps(m: int, n: int, r: int, s: int, digits: int, top: int) -> int:
 @lru_cache(maxsize=128)
 def _table_steps(m: int, n: int, r: int, s: int, top: int) -> int:
     """The steps of _steps that do not depend on gamma, over the cells i + j
-    <= top and the totals up to T = min(m, max(r, s) top); cached, as
-    exact_power counts the full law's and builds a truncated law."""
+    <= top and the totals up to T = min(m, max(r, s) top); cached, as every
+    gamma of a shape counts the same."""
     cap = min(m, max(r, s) * top)
     tri = (cap + 1) * (cap + 2) // 2  # entries of an (n1, t) table
     # each cell's normalized table of at most tri entries; the rows of S and
@@ -480,9 +483,11 @@ def alternative_distribution(
     the link table, which _steps counts with the passes. A truncated law
     (complete=False) agrees with the full law's first t_max + 1 entries to
     rounding: its side tables never form the states above t_max, so they
-    cannot share the full law's per-total normalization. Raises BudgetExceededError, before any work, above WORK_BUDGET
-    steps, and a failed diagonal Beta sum is a NumericalError before any
-    table is built.
+    cannot share the full law's per-total normalization, and its Beta sums
+    run at the working digits of their own bounds. Raises
+    BudgetExceededError, before any work, above WORK_BUDGET steps, and a
+    failed diagonal Beta sum is a NumericalError before any table is
+    built.
     """
     _validate(m, n, r, s, gamma)
     top = m if t_max is None else min(t_max, m)
@@ -508,7 +513,8 @@ def alternative_distribution(
             math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_st)
             for t, log_st in enumerate(log_s, n1)
         ]
-    pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], _full_cells(top), cap, _float_sum)
+    cells = _full_cells(top)
+    pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, cap, _float_sum)
     return AlternativeDistribution(
         m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf),
         condition_estimate=max(condition for _, condition in diagonal), complete=top == m,

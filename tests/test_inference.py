@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -94,6 +95,24 @@ class TestCriticalValue:
             phi_boundary = (alpha_exact - crit.alpha1) / (crit.alpha2 - crit.alpha1)
             size = dist.tail(crit.c) + phi_boundary * dist.pmf(crit.c - 1)
             assert size == alpha_exact
+
+    def test_scan_equals_the_all_tails_rule(self):
+        """The scan of the null cdf that stops at c gives the same (c, alpha1,
+        alpha2) as the minimal c over every tail, as Fractions, also when
+        alpha is an attained tail exactly or as a float."""
+        for m, n in itertools.product(range(1, 11), range(2, 11)):
+            for r, s in itertools.product(range(1, n), repeat=2):
+                if r + s > n:
+                    continue
+                dist = null_distribution(m, n, r, s)
+                tails = [dist.tail(t) for t in range(m + 2)]
+                attained = [t for t in tails if 0 < t < 1]
+                levels = [0.01, 0.05, 0.1, 0.5, 0.999] + attained + list(map(float, attained))
+                for alpha in levels:
+                    expected = inference._critical_from_tails(tails, alpha)
+                    crit = critical_value(m, n, r, s, alpha)
+                    assert crit == expected
+                    assert type(crit.alpha1) is type(crit.alpha2) is Fraction
 
     def test_monte_carlo_matches_exact(self):
         for m, n, r, s in [(10, 10, 1, 1), (20, 20, 3, 3)]:
