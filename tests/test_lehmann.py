@@ -408,7 +408,8 @@ def test_logarithm_is_within_a_unit_in_the_last_place():
     """ln S from the float logarithm of its mantissa and a two-part ln 10
     lies within a unit in the last place of max(1, |ln S|) of the 80-digit
     logarithm, near 1, 10 and a mantissa of 10, and over a wide range of
-    exponents. Just below 1, ln mu - ln 10 would be off by 1.45 units."""
+    exponents. The two values just below 1 would be off by 1.45 units if
+    taken through their mantissa, as ln mu - ln 10."""
     context = Context(prec=80, Emax=10**6, Emin=-(10**6))
     rnd = random.Random(11)
     values = [Decimal(v) for v in ("1", "1.005", "9.994999999", "9.995", "9.99999999", "1e-5000")]
