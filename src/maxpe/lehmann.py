@@ -1,22 +1,22 @@
 """Distribution of the statistic under the Lehmann alternative G = F^gamma.
 
 A frequency vector's probability is a constant times a precedence and an
-exceedance Beta chain and the alternating Beta sum
+exceedance Beta chain and the Beta sum
 S(n1, t) = sum_l (-1)^l C(q, l) B(n1 + r*gamma + gamma*l, m - t + 1), over
 the cell-count factorials; n1 is the precedence total, t the total of all
-cells, q = n - r - s. The pmf comes from three polynomial passes over
-positive quantities, so nothing cancels in floating point: side tables by a
-recurrence over (partial sum, running max) states, returned by largest cell,
-each cell's Beta factors over factorials read from one O(m) table of
-log-gamma differences, and no state holding a cell above the largest the
-law reads; the link weights, each row from a row of S summed
-from the row below, so that only the diagonal of S is an alternating sum
-(evaluated in decimal, its logarithm from the float logarithm of its
-mantissa); and the null kernel's cross step. A law truncated to T <= t_max
-needs every table only up to the total min(m, max(r, s) t_max), whatever m,
-its side states only up to the largest cell t_max, and its diagonal Beta
-sums only the working digits the first T + 1 of them need. gamma = 1
-recovers the exact null.
+cells, q = n - r - s. S is the integral of x^(n1 + r gamma - 1) (1-x)^(m-t)
+(1-x^gamma)^q over [0, 1], and it is never formed as the alternating sum.
+The pmf comes from three polynomial passes over positive quantities, so
+nothing cancels: side tables by a recurrence over (partial sum, running
+max) states, returned by largest cell, each cell's Beta factors over
+factorials read from one O(m) table of log-gamma differences, and no state
+holding a cell above the largest the law reads; the link weights, each row
+from a row of S summed from the row below, the diagonal of S from a
+recurrence in decimal that integration by parts gives (its logarithm from
+the float logarithm of its mantissa); and the null kernel's cross step. A
+law truncated to T <= t_max needs every table only up to the total
+min(m, max(r, s) t_max), whatever m, and its side states only up to the
+largest cell t_max. gamma = 1 recovers the exact null.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
 from itertools import accumulate
-from operator import add
+from operator import add, mul, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
 from .combinatorics import log_beta
@@ -43,20 +43,19 @@ __all__ = [
     "exact_power",
 ]
 
-_GUARD_DIGITS = 20  # working digits kept beyond the worst cancellation
 # Weights, in WORK_BUDGET steps of one float multiply-add, of a table entry
 # built by a call or by exp, log1p or lgamma; of a move of _side, an exp and
-# the loop step that adds it; and of one decimal product of a Beta sum:
-# _MP_STEPS, and one step more per _MP_DIGITS_PER_STEP working digits. With
-# CPython 3.11 on a shared 2-vCPU Xeon VM a move took 0.7-0.9 us, a pair of
-# _side's row slices about 50 ns, and a product 0.3-0.47 us at 33-750
-# digits. With these weights whole laws at n = m, gamma = 2 ran at 45-58 ns
-# a step (one run of 70 ns) at r = s = 1, 2, 3, 5 and 10, m = 25-1200, and
-# the largest the budget admits at 52-61 ns a step, 5.2-5.9 s
+# the loop step that adds it; and of one entry of the Beta-sum recurrence,
+# three decimal operations at 21-27 digits, whose anti-diagonals cost about
+# six entries each more. With CPython 3.11 on a shared 2-vCPU Xeon VM a move
+# took 0.7-0.9 us, a pair of _side's row slices about 50 ns, and a
+# recurrence entry 0.37-0.4 us where the other passes ran at 35-47 ns a
+# step. With these weights whole laws at n = m, gamma = 2 ran at 47-81 ns a
+# step at r = s = 1, 2, 3, 5 and 10, m = 100-1200, and the largest the
+# budget admits at 65-83 ns a step, 6.5-8.3 s, on a busy host
 _ENTRY_STEPS = 5
 _MOVE_STEPS = 16
-_MP_STEPS = 6
-_MP_DIGITS_PER_STEP = 170
+_SUM_STEPS = 8
 
 _PMF_SLACK = 1e-9
 _NORMALIZATION_SLACK = 1e-6
@@ -72,13 +71,12 @@ class AlternativeDistribution(
         "m n r s gamma pmf_values condition_estimate complete cdf_values",
     ),
 ):
-    """pmf of the statistic under G = F^gamma, with a cancellation diagnostic.
+    """pmf of the statistic under G = F^gamma.
 
-    condition_estimate is the largest ratio of the summed term magnitudes of
-    a diagonal Beta sum to its value: the factor by which evaluating that sum
-    in working precision magnifies rounding (1 means nothing cancels). A
-    truncated law (complete=False) covers {0..t_max} and is only checked not
-    to exceed total mass 1.
+    condition_estimate, the factor by which cancellation magnifies rounding,
+    is 1.0: every pass of the law, its Beta sums included, adds positive
+    terms only, so no sum cancels. A truncated law (complete=False) covers
+    {0..t_max} and is only checked not to exceed total mass 1.
     """
 
     __slots__ = ()
@@ -219,53 +217,6 @@ def _side(
     ]
 
 
-def _log_lower_bound(a: float, b: int, q: int, gamma: float) -> float:
-    """ln of a lower bound on S = int_0^1 x^(a-1) (1-x)^(b-1) (1-x^gamma)^q dx.
-
-    For every 0 < x0 < 1, S >= x0^a (1-x0)^(b-1) (1-x0^gamma)^q / a, the
-    integral over [0, x0] with the decreasing factors taken at x0. Two
-    choices of y = x0^gamma are tried: 1/(q+1), where (1-y)^q >= 1/e, and
-    the maximizer a / (a + gamma q) of y^(a/gamma) (1-y)^q.
-    """
-    bounds = (
-        a / gamma * math.log(y) + (b - 1) * math.log(-math.expm1(math.log(y) / gamma))
-        + q * math.log1p(-y)
-        for y in (1.0 / (q + 1), a / (a + gamma * q))
-    )
-    return max(bounds) - math.log(a)
-
-
-def _digit_losses(a: Sequence[float], b: int, q: int, gamma: float) -> list[float]:
-    """ln of the worst cancellation each S_k of _beta_sums with a_k = a[k]
-    can suffer, bounded before any term is formed: the terms of S_k add up
-    to at most 2^q B(a_k, b - k), as B falls in its first argument, and S_k
-    is at least e^_log_lower_bound."""
-    return [
-        q * math.log(2) + log_beta(a_k, b - k) - _log_lower_bound(a_k, b - k, q, gamma)
-        for k, a_k in enumerate(a)
-    ]
-
-
-def _digits(losses: Iterable[float]) -> int:
-    """Working digits of Beta sums: _GUARD_DIGITS beyond those the worst of
-    their cancellations can cost."""
-    return max(0, math.ceil(max(losses) / math.log(10))) + _GUARD_DIGITS
-
-
-@lru_cache(maxsize=32)
-def _diagonal_losses(m: int, n: int, r: int, s: int, gamma: float) -> tuple[float, ...]:
-    """_digit_losses of the m + 1 diagonal Beta sums S(t, t). Cached:
-    exact_power counts the full law's work with the digits of all of them,
-    then builds a truncated law with those of its first T + 1."""
-    return tuple(_digit_losses([t + r * gamma for t in range(m + 1)], m + 1, n - r - s, gamma))
-
-
-def _diagonal_digits(m: int, n: int, r: int, s: int, gamma: float, cap: int) -> int:
-    """Working digits of the diagonal Beta sums S(t, t), t <= cap, 0 when
-    q = 0 leaves nothing to cancel."""
-    return _digits(_diagonal_losses(m, n, r, s, gamma)[: cap + 1]) if n - r - s else 0
-
-
 # ln 10 in two parts: e * _LN10_HI is exact for |e| < 2^27, and _LN10_LO
 # carries the next 53 bits
 _LN10_HI = 77261934 / 2**25
@@ -287,60 +238,54 @@ def _ln(x: Decimal) -> float:
     return math.fsum((math.log(float(x.scaleb(-e, _MANTISSA))), e * _LN10_HI, e * _LN10_LO))
 
 
-def _beta_sums(
-    n1: int, b: int, q: int, r: int, gamma: float, count: int, digits: Optional[int] = None
-) -> list[tuple[float, float]]:
-    """(ln S_k, condition_k), k < count, for S_k = sum_l (-1)^l C(q, l)
-    B(x_l + k, b - k), x_l = n1 + r*gamma + gamma*l, and condition_k =
-    sum |terms| / S_k.
+def _beta_sums(n1: int, b: int, q: int, r: int, gamma: float, count: int) -> list[float]:
+    """ln S_k, k < count, for S_k = sum_l (-1)^l C(q, l) B(a + gamma l + k,
+    b - k), a = n1 + r gamma: the integral of x^(a+k-1) (1-x)^(b-k-1)
+    (1-x^gamma)^q over [0, 1], formed from positive terms only.
 
-    B(x, b) = (b-1)! / (x (x+1) ... (x+b-1)) for whole b, and stepping k
-    multiplies a term by (x_l + k) / (b-k-1). The sums run in the standard
-    library's decimal, in C, at `digits` working digits, by default the
-    _digits of their own _digit_losses; a caller passes the digits of a
-    longer list of sums that holds them. Each term
-    is formed once, as C(q, l) (b-1)! over the product of its b factors,
-    and then only multiplied by x_l + k: S_k is the sum of the terms once
-    divided by the exact integer (b-1)! / (b-1-k)!, and condition_k their
-    sum of magnitudes over their sum.
+    With I(a, beta, p) the integral of x^(a-1) (1-x)^(beta-1) (1-x^gamma)^p,
+    integration by parts gives, for beta >= 2 and p >= 1,
+    a I(a, beta, p) = (beta - 1) I(a + 1, beta - 1, p)
+                      + p gamma I(a + gamma, beta, p - 1).
+    So E(j, p) = I(a + gamma (q - p) + b - 1 - j, j + 1, p), j < b, p <= q,
+    of which S_k = E(b - 1 - k, q), is E(j, p) = j! p! gamma^p G(j, p) with
+    G(j, p) = (G(j - 1, p) + G(j, p - 1)) / (a + gamma (q - p) + b - 1 - j)
+    from G(0, 0) = B(a + gamma q + b - 1, 1), terms off the grid taken as 0.
+    On the edges p = 0 and j = 0 that is the exact ratio of neighbouring
+    Beta functions, B(x, y + 1) = B(x, y) y / (x + y). Each entry reads two
+    of the anti-diagonal j + p - 1, so the b (q + 1) entries are swept one
+    anti-diagonal at a time, each by maps of decimal operations (C, in the
+    standard library's decimal) over the whole anti-diagonal.
 
-    Each rounding errs by at most half a unit in the last working digit. A
-    term carries the roundings of its b + k factors and products and of
-    its division, and each of the q additions of the sums errs by at most
-    as much of the sum of magnitudes, which the digits keep below
-    10^(digits - 20) S_k. So S_k is off by at most (2 (b + k) + q + 3)
-    5e-20 of itself, below 1e-14 while b, k and q stay below 3e4, and
-    far less in practice: roundings partly cancel, and the bounds behind
-    the digits are not tight. decimal sums left to right, one rounded addition at a time;
-    Python 3.12's compensated sum() changes only float sums. ln S_k comes
-    from _ln, within about a unit in its last place.
+    Nothing cancels: an entry adds two positive numbers and divides by a
+    positive sum, so its relative error is at most the larger of its two
+    inputs' plus six roundings of half a unit in the last working digit
+    (the addition, four in the denominator and the division). The fewer
+    than b + q steps down to G(j, q) and the b + q roundings of its scale
+    leave S_k within 7 (b + q) 5 10^(-digits) of itself, below 3.5e-19 at
+    digits = 20 + the digits of b + q. ln S_k comes from _ln, within about
+    a unit in its last place.
     """
-    a = [n1 + k + r * gamma for k in range(count)]
-    if q == 0:
-        return [(log_beta(a[k], b - k), 1.0) for k in range(count)]
-    if digits is None:
-        digits = _digits(_digit_losses(a, b, q, gamma))
-    with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+    with localcontext(Context(prec=20 + len(str(b + q)), Emax=MAX_EMAX, Emin=MIN_EMIN)):
         g = Decimal(gamma)
-        x = [n1 + r * g + g * l for l in range(q + 1)]
-        binomials = accumulate(range(q), lambda c, l: c * (q - l) // (l + 1), initial=1)
-        numerator = math.factorial(b - 1)
-        terms = [  # |term l| of S_k times falling
-            c * numerator / math.prod(map(x_l.__add__, range(b)))
-            for c, x_l in zip(binomials, x)
-        ]
-        sums, falling = [], 1  # (b-1)! / (b-1-k)!
-        for k in range(count):
-            plus, minus = sum(terms[::2]), sum(terms[1::2])
-            total = (plus - minus) / falling
-            if not total > 0:
-                raise NumericalError(f"Beta sum {n1 + k, b - k, q} is {total:.5g}")
-            condition = (plus + minus) / (plus - minus)
-            sums.append((_ln(total), min(float(condition), math.exp(709.0))))
-            if k + 1 < count:
-                terms = [term * (x_l + k) for term, x_l in zip(terms, x)]
-                falling *= b - 1 - k
-    return sums
+        base = [n1 + r * g + g * (q - p) for p in range(q + 1)]  # a + gamma (q - p)
+        # column[p + 1] = G(d - p, p) on the latest anti-diagonal d that holds
+        # p, 0 off the grid, and G(-1, 0) = 1 so that G(0, 0) comes out as 1
+        # over its denominator
+        column = [0, 1] + [0] * q
+        last = []  # G(j, q), j = 0, 1, ...
+        for d in range(b + q):
+            lo, hi = max(0, d - b + 1), min(d, q)
+            column[lo + 1 : hi + 2] = map(
+                truediv,
+                map(add, column[lo + 1 : hi + 2], column[lo : hi + 1]),  # G(j-1, p) + G(j, p-1)
+                map(add, base[lo : hi + 1], range(b - 1 - d + lo, b - d + hi)),
+            )
+            if hi == q:
+                last.append(column[q + 1])
+        # E(j, q) = j! q! gamma^q G(j, q), the factorials as running products
+        scales = accumulate(range(1, b), mul, initial=math.prod(range(1, q + 1), start=g**q))
+        return [_ln(x) for x in reversed(list(map(mul, last, scales))[b - count :])]
 
 
 def _log_add(a: float, b: float) -> float:
@@ -363,7 +308,7 @@ def joint_frequency_pmf_lehmann(fv: FrequencyVector, gamma: float) -> float:
     m, n, r, s = fv.m, fv.n, fv.r, fv.s
     _validate(m, n, r, s, gamma)
     n1, total = fv.total_precedence, fv.total
-    [(log_s, _)] = _beta_sums(n1, m - total + 1, n - r - s, r, gamma, 1)
+    [log_s] = _beta_sums(n1, m - total + 1, n - r - s, r, gamma, 1)
     log_c, log_perm = _log_counts(m, n, r, s, gamma, total)
     log_p = (
         log_c
@@ -419,38 +364,26 @@ def _side_steps(length: int, top: int, peak: int) -> int:
     )
 
 
-def _steps(m: int, n: int, r: int, s: int, digits: int, top: int) -> int:
-    """Work of alternative_distribution(m, n, r, s, ., top), its diagonal
-    Beta sums at `digits` working digits, in steps, counted before any is
-    done."""
-    cap = min(m, max(r, s) * top)
-    steps = _table_steps(m, n, r, s, top)
-    q = n - r - s
-    if q:
-        # per Beta-sum term, m + 1 factors of its first value, T steps and
-        # T + 1 additions into the sums
-        steps += (_MP_STEPS + digits // _MP_DIGITS_PER_STEP) * (q + 1) * (m + 2 * cap + 2)
-    return steps
-
-
 @lru_cache(maxsize=128)
-def _table_steps(m: int, n: int, r: int, s: int, top: int) -> int:
-    """The steps of _steps that do not depend on gamma, over the cells i + j
-    <= top and the totals up to T = min(m, max(r, s) top); cached, as every
-    gamma of a shape counts the same."""
+def _steps(m: int, n: int, r: int, s: int, top: int) -> int:
+    """Work of alternative_distribution(m, n, r, s, ., top) in steps,
+    counted before any is done, over the cells i + j <= top and the totals
+    up to T = min(m, max(r, s) top); cached, as every gamma of a shape
+    counts the same."""
     cap = min(m, max(r, s) * top)
     tri = (cap + 1) * (cap + 2) // 2  # entries of an (n1, t) table
     # each cell's normalized table of at most tri entries; the rows of S and
-    # the link table; one sum per H_j entry and per cell of the cross step
-    entries = (r + s + 4) * tri
+    # the link table; one sum per H_j entry and per cell of the cross step;
+    # T + 1 logarithms of the diagonal Beta sums
+    entries = (r + s + 4) * tri + cap + 1
     # the side tables, _side's copy of at most tri entries per side into rows
     # by largest cell, and the cross step's multiply-adds
     steps = _side_steps(r, cap, top) + _side_steps(s, cap, top) + 2 * tri
     steps += _cross_steps(r, s, cap, _full_cells(top)) + _ENTRY_STEPS * entries
-    if n - r - s:
-        # the m + 1 entries of the digit bound, and T + 1 logarithms
-        steps += _ENTRY_STEPS * (m + cap + 2)
-    return steps
+    # the (m + 1)(q + 1) entries of the Beta-sum recurrence, whatever T, and
+    # its m + q + 1 anti-diagonals, each costing about six entries
+    q = n - r - s
+    return steps + _SUM_STEPS * ((m + 1) * (q + 1) + 6 * (m + q + 1))
 
 
 def _full_cells(top: int) -> list[tuple[int, int, int]]:
@@ -469,11 +402,11 @@ def alternative_distribution(
        total n1 (n2) and largest cell i (j) <= t_max: about T t_max moves
        per cell after the first (T^2 / 2 for the full law), and about
        (r + s - 2) T^3 / 12 multiply-adds in all for the full law;
-    2. the Beta sums S(n1, t) from S(n1, t) = S(n1, t-1) + S(n1+1, t), with
-       only the T + 1 diagonal sums evaluated, in decimal: (q + 1)(m + 2T + 2)
-       products at the working digits, and T + 1 logarithms;
-       rows n1 = T..0 each come from the row below and feed link row n1 at
-       once, so no table of S is kept;
+    2. the Beta sums S(n1, t) from S(n1, t) = S(n1, t-1) + S(n1+1, t) and
+       the T + 1 diagonal sums, which _beta_sums reads off (m + 1)(q + 1)
+       entries of a positive recurrence in decimal, whatever T, and T + 1
+       logarithms; rows n1 = T..0 each come from the row below and feed
+       link row n1 at once, so no table of S is kept;
     3. the null kernel's cross step: H_j[n1] = sum_n2 E[n2][j] S(n1, n1 + n2)
        / (m - n1 - n2)!, once per j, and pmf[i + j] += P[n1][i] H_j[n1], each
        sum over the band n2 <= s*j (n1 <= r*i) where the side entry can be
@@ -483,21 +416,17 @@ def alternative_distribution(
     the link table, which _steps counts with the passes. A truncated law
     (complete=False) agrees with the full law's first t_max + 1 entries to
     rounding: its side tables never form the states above t_max, so they
-    cannot share the full law's per-total normalization, and its Beta sums
-    run at the working digits of their own bounds. Raises
-    BudgetExceededError, before any work, above WORK_BUDGET steps, and a
-    failed diagonal Beta sum is a NumericalError before any table is
-    built.
+    cannot share the full law's per-total normalization; its diagonal Beta
+    sums are the full law's, bit for bit. Raises BudgetExceededError, before
+    any work, above WORK_BUDGET steps.
     """
     _validate(m, n, r, s, gamma)
     top = m if t_max is None else min(t_max, m)
     if top < 0:
         raise ParameterError("t_max must be non-negative")
     cap = min(m, max(r, s) * top)  # T: the largest total a cell i + j <= top reads
-    q = n - r - s
-    digits = _diagonal_digits(m, n, r, s, gamma, cap)
-    _check_budget(_steps(m, n, r, s, digits, top), "Lehmann-law")
-    diagonal = _beta_sums(0, m + 1, q, r, gamma, cap + 1, digits)  # (ln S(t, t), condition)
+    _check_budget(_steps(m, n, r, s, top), "Lehmann-law")
+    diagonal = _beta_sums(0, m + 1, n - r - s, r, gamma, cap + 1)  # ln S(t, t)
     scale_p, rows_p = _side(r, cap, _precedence_logs(gamma), top)
     scale_e, rows_e = _side(s, cap, _exceedance_logs(m, n, gamma), top)
     log_c, log_perm = _log_counts(m, n, r, s, gamma, cap)
@@ -508,7 +437,7 @@ def alternative_distribution(
     link: list[list[float]] = [[]] * (cap + 1)
     log_s: list[float] = []
     for n1 in range(cap, -1, -1):
-        log_s = list(accumulate(log_s, _log_add, initial=diagonal[n1][0]))
+        log_s = list(accumulate(log_s, _log_add, initial=diagonal[n1]))
         link[n1] = [
             math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_st)
             for t, log_st in enumerate(log_s, n1)
@@ -517,7 +446,7 @@ def alternative_distribution(
     pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, cap, _float_sum)
     return AlternativeDistribution(
         m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf),
-        condition_estimate=max(condition for _, condition in diagonal), complete=top == m,
+        condition_estimate=1.0, complete=top == m,
     )
 
 
@@ -531,8 +460,7 @@ def exact_power(m: int, n: int, r: int, s: int, gamma: float, alpha: float) -> f
     _validate(m, n, r, s, gamma)
     from .inference import critical_value
 
-    digits = _diagonal_digits(m, n, r, s, gamma, m)
-    _check_budget(_steps(m, n, r, s, digits, m), "Lehmann-law")
+    _check_budget(_steps(m, n, r, s, m), "Lehmann-law")
     crit = critical_value(m, n, r, s, alpha)
     top = crit.c - 1  # c >= 1: P[T >= 0] = 1 exceeds every alpha
     dist = alternative_distribution(m, n, r, s, gamma, top)

@@ -9,6 +9,7 @@ precision doubled until two evaluations agree.
 """
 
 import math
+import random
 from functools import lru_cache
 
 import mpmath
@@ -104,3 +105,64 @@ def alternative_pmf(m, n, r, s, gamma):
                     sums[n1, t] = beta_sum(n1, t, m, q, r, gamma)
                 pmf[i + j] += c0 * w_p * w_e * sums[n1, t] / mpmath.factorial(m - t)
         return [float(p) for p in pmf]
+
+
+def log_beta_sums(n1, b, q, r, gamma, count):
+    """ln S_k, k < count, of maxpe.lehmann._beta_sums, from the alternating
+    sums S_k = sum_l (-1)^l C(q, l) B(n1 + r*gamma + gamma*l + k, b - k)
+    added term by term at 60 + 2q digits, or more where a sum cancels so far
+    that fewer than 30 digits would be left."""
+    dps = 60 + 2 * q
+    while True:
+        with mpmath.workdps(dps):
+            g = mpmath.mpf(gamma)
+            x = [n1 + r * g + g * l for l in range(q + 1)]
+            terms = [
+                (-1) ** l * math.comb(q, l) * math.factorial(b - 1)
+                / mpmath.fprod(x_l + i for i in range(b))
+                for l, x_l in enumerate(x)
+            ]
+            logs, lost = [], 0
+            for k in range(count):
+                total = mpmath.fsum(terms)
+                magnitude = mpmath.fsum(terms, absolute=True)
+                lost = max(lost, mpmath.log10(magnitude / total) if total > 0 else dps)
+                logs.append(mpmath.log(total))
+                if k + 1 < count:
+                    terms = [t * (x_l + k) / (b - 1 - k) for t, x_l in zip(terms, x)]
+            if dps - lost >= 30:
+                return logs
+        dps = int(lost) + 60
+
+
+def beta_sum_shapes(count, seed=17):
+    """`count` seeded (n1, b, q, r, gamma, count) of _beta_sums, every k
+    read: q = 0 in about one in eight, up to 300 otherwise (n >> m), gamma
+    2^u with u uniform on [-6, 9], and n1 > 0 with b < m + 1, as for one
+    frequency vector, in about half; n1 = 0, b = m + 1 otherwise, as for the
+    diagonal of a law."""
+    rnd = random.Random(seed)
+    shapes = []
+    for _ in range(count):
+        m = rnd.randint(1, 40)
+        n1 = rnd.randint(1, m) if rnd.random() < 0.5 else 0
+        b = rnd.randint(1, m + 1 - n1) if n1 else m + 1
+        q = 0 if rnd.random() < 0.125 else rnd.randint(1, 300)
+        shapes.append((n1, b, q, rnd.randint(1, 10), 2 ** rnd.uniform(-6, 9), b))
+    return shapes
+
+
+def beta_sum_errors(shapes):
+    """Per shape, the largest distance of _beta_sums' ln S_k from
+    log_beta_sums, in units in the last place of max(1, |ln S_k|)."""
+    from maxpe.lehmann import _beta_sums
+
+    errors = []
+    for shape in shapes:
+        exact = log_beta_sums(*shape)
+        with mpmath.workdps(40):
+            errors.append(max(
+                float(abs(mpmath.mpf(got) - e)) / math.ulp(max(1.0, abs(float(e))))
+                for got, e in zip(_beta_sums(*shape), exact, strict=True)
+            ))
+    return errors

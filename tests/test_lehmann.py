@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -123,10 +124,10 @@ class TestAlternativeDistribution:
             alternative_distribution(400, 400, 40, 40, 2.0)
         assert time.perf_counter() - start < 1.0  # refused before any work
 
-    @pytest.mark.parametrize("m,n", [(5000, 5002), (5000, 2), (3000, 2), (1500, 1502)])
+    @pytest.mark.parametrize("m,n", [(5000, 5002), (5000, 2), (3000, 2), (1997, 1999)])
     def test_budget_counts_the_tables(self, m, n, monkeypatch):
         # r = s = 1 makes only O(m^2) cross multiply-adds, so the O(m^2)
-        # tables and the Beta-sum terms must carry the count
+        # tables and the Beta-sum recurrence must carry the count
         def no_work(*args):
             raise AssertionError("a table was built before the budget check")
 
@@ -229,11 +230,21 @@ class TestAgainstOracle:
 
     def test_heavily_cancelling_beta_sum(self):
         # 239 alternating terms of total magnitude ~3e59 leave S = 1.5734e-3
-        [(log_s, condition)] = _beta_sums(0, 6, 238, 1, 2.0, 1)
+        [log_s] = _beta_sums(0, 6, 238, 1, 2.0, 1)
         expected = lehmann_oracle.beta_sum(0, 0, 5, 238, 1, 2.0)
-        assert math.exp(log_s) == pytest.approx(float(expected), rel=1e-12)
         assert float(expected) == pytest.approx(1.5734e-3, abs=5e-8)
-        assert condition > 1e60
+        with mpmath.workdps(40):
+            log_expected = mpmath.log(expected)
+            assert abs(log_s - log_expected) <= math.ulp(abs(float(log_expected)))
+
+    def test_beta_sums_match_direct_alternating_sums(self):
+        """ln S of the positive recurrence within a unit in the last place
+        of max(1, |ln S|) of the alternating sums at 60 + 2q digits, at 40
+        seeded shapes (300 in CI) and a q = 0 shape whose float log_beta
+        missed by more."""
+        shapes = lehmann_oracle.beta_sum_shapes(40) + [(30, 48, 0, 4, 412.99, 48)]
+        assert {0} < {shape[2] for shape in shapes}
+        assert max(lehmann_oracle.beta_sum_errors(shapes)) <= 1.0
 
     @pytest.mark.parametrize("m,n,r,s,gamma", [(6, 9, 2, 3, 2.5), (8, 7, 3, 1, 0.7)])
     def test_per_vector_pmfs_add_up_to_the_table(self, m, n, r, s, gamma):
@@ -389,7 +400,6 @@ class TestTruncatedLaw:
         c = critical_value(12, 40, 1, 1, 0.05).c
         expected = alternative_distribution(12, 40, 1, 1, 0.5, c - 1).condition_estimate
         assert span["info"] == {"condition": expected}
-        assert expected > 1.0
         metrics = tracing.layer_metrics(tracer.spans, {"bcc_hits": 0, "bcc_misses": 0}, 1, 0.0)
         assert metrics["lehmann.condition_max"] == (expected, "1")
 
@@ -473,7 +483,7 @@ def test_cancelling_shapes_match_pinned_outputs(data_dir):
         m, n, r, s, gamma = case["shape"]
         if "log_beta_sums" in case:
             diagonal = _beta_sums(0, m + 1, n - r - s, r, gamma, m + 1)
-            assert [log_s.hex() for log_s, _ in diagonal] == case["log_beta_sums"]
+            assert [log_s.hex() for log_s in diagonal] == case["log_beta_sums"]
         else:
             pmf = alternative_distribution(m, n, r, s, gamma).pmf_values
             assert [p.hex() for p in pmf] == case["pmf"]
@@ -499,13 +509,6 @@ def test_pins_stay_near_their_previous_values(data_dir):
             assert all(abs(b - a) <= math.ulp(max(1.0, abs(a))) for a, b in zip(old, new))
         if "exact_power" in case:
             assert abs(case["exact_power"] - case["previous"]["exact_power"]) <= 1e-14
-
-
-def test_failed_beta_sum_is_a_numerical_error(monkeypatch):
-    # too few working digits for 239 terms of total magnitude ~3e59
-    monkeypatch.setattr(lehmann, "_GUARD_DIGITS", -40)
-    with pytest.raises(NumericalError, match=r"^Beta sum \(0, 6, 238\) is -?\d"):
-        _beta_sums(0, 6, 238, 1, 2.0, 1)
 
 
 def _compensated_sum(items, start=0):

@@ -164,7 +164,7 @@ def test_exact_paths_load_neither_numpy_nor_mpmath(tmp_path, data_dir):
         "assert maxpe.cli.main(['test', '--training', sys.argv[2] + '/type1.txt',"
         " '--test', sys.argv[2] + '/type2.txt', '--r', '3', '--s', '3',"
         " '--out', sys.argv[1] + '/t.csv']) == 0\n"
-        # the Lehmann law's Beta sums, which cancel heavily at n >> m
+        # the Lehmann law, whose Beta sums run in decimal, at n >> m
         "from maxpe.lehmann import exact_power\n"
         "assert 0 < exact_power(30, 300, 2, 2, 0.5, 0.05) < 1\n"
         "assert maxpe.cli.main(['power', '--m', '10', '--n', '12', '--r', '1', '--s', '1',"
