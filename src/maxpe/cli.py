@@ -57,8 +57,9 @@ def _tokenize(path: str) -> list[list[str]]:
         line = line.strip()
         if not line:
             continue
-        tokens = [t.strip() for t in (line.split(",") if "," in line else line.split())]
-        rows.append([t for t in tokens if t])
+        # an empty comma-delimited cell keeps its place; trailing ones end the row
+        cells = line.rstrip(", \t").split(",") if "," in line else line.split()
+        rows.append([t.strip() for t in cells])
     if not rows:
         raise InputFormatError(f"{path} contains no data")
     return rows
@@ -76,12 +77,13 @@ def read_sample_column(path: str, column: Optional[str] = None) -> list[float]:
     """Read one numeric column from a delimited text file.
 
     Single-column files need no selector; files with a header row and
-    several columns need `column` (a header name or 0-based index).
-    Non-numeric cells are hard errors.
+    several columns need `column` (a header name or 0-based index). A
+    column may end early, at an empty cell or a shorter row; a value after
+    that, like a non-numeric cell, is a hard error.
     """
     rows = _tokenize(path)
     header: Optional[list[str]] = None
-    if not all(_is_number(t) for t in rows[0]):
+    if not all(_is_number(t) for t in rows[0] if t):
         header = rows[0]
         rows = rows[1:]
         if not rows:
@@ -106,10 +108,16 @@ def read_sample_column(path: str, column: Optional[str] = None) -> list[float]:
             if index < 0:
                 raise InputFormatError(f"column index {index} in {path} is negative")
     values = []
+    end = None  # the row where the column ended early, if it did
     for row_number, row in enumerate(rows, start=1):
-        if index >= len(row):
-            continue  # ragged two-column files: shorter rows simply end early
-        token = row[index]
+        token = row[index] if index < len(row) else ""
+        if not token:
+            end = end or row_number
+            continue
+        if end is not None:
+            raise InputFormatError(
+                f"{path} row {row_number}: value {token!r} after the column's end at row {end}"
+            )
         if not _is_number(token):
             raise InputFormatError(
                 f"{path} row {row_number}: non-numeric cell {token!r}"

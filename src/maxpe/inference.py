@@ -8,12 +8,12 @@ per available CPU (inline on one) and their histograms are summed, so
 results are bit-identical across runs and do not depend on the CPU count.
 
 Blocks draw in rank space. T, V and Q read only the pooled order of the two
-groups, and an increasing map applied to both groups keeps that order, so a
-block never applies one: Weibull blocks keep numpy's standard exponentials
-E (its Weibull draw is E ** (1 / shape), from the same stream) with the
-scale raised to the shape, and Lehmann blocks skip the map x ** (1 / gamma)
-at gamma = 1. Only draws within rounding of each other can change order
-under a skipped map, about 1e-10 per row. sample_pair returns real values.
+groups, and an increasing map applied to both keeps that order, so a block
+never applies one: Weibull blocks (exponential ones are shape 1) keep the
+standard exponentials E that numpy's Weibull raises to 1 / shape, with the
+scale raised to the shape, and Lehmann blocks skip x ** (1 / gamma) at
+gamma = 1. Only draws within rounding of each other can change order under
+a skipped map, about 1e-10 per row. sample_pair returns real values.
 """
 
 from __future__ import annotations
@@ -229,14 +229,6 @@ def critical_value(
     raise ParameterError(f"unknown method {method!r}")
 
 
-def _critical_from_tails(tails: Sequence[Number], alpha: float) -> CriticalValue:
-    """tails[t] = P[T >= t] for t = 0..len-1; tails beyond the support are 0."""
-    c = next(t for t, mass in enumerate(tails) if mass <= alpha)
-    alpha1 = tails[c]
-    alpha2 = tails[c - 1] if c >= 1 else _one_like(tails[c])
-    return CriticalValue(c, alpha1, alpha2)
-
-
 def _one_like(value: Number) -> Number:
     return Fraction(1) if isinstance(value, Fraction) else 1.0
 
@@ -281,30 +273,29 @@ def _draw_group(
 ) -> np.ndarray:
     """One group's draws from the baseline, transformed in place if `varied`.
 
-    With `ranks`, Weibull draws are the standard exponentials E that numpy
-    raises to 1 / shape, with the varied group's scale raised to the shape:
-    values in the same pooled order as the real draws, up to rounding.
+    An exponential of rate lambda is the Weibull of shape 1 and scale
+    1 / lambda. With `ranks`, Weibull draws are numpy's standard exponentials
+    E (its Weibull is E ** (1 / shape)), the varied group's scale raised to
+    the shape: the pooled order of the real draws, up to rounding.
     """
     if alt.kind == "lehmann":
         values = generator.random(shape)
         if varied and alt.gamma != 1.0:
             values **= 1.0 / alt.gamma
-    elif alt.kind == "exponential":
-        values = generator.exponential(1.0, shape)
-        if varied:
-            values *= 1.0 / alt.rate
-    elif ranks:  # weibull
+        return values
+    k, scale = (1.0, 1.0 / alt.rate) if alt.kind == "exponential" else (alt.shape, alt.scale)
+    if ranks:
         values = generator.standard_exponential(shape)
-        # the varied group times scale ** shape, or the other group times its
+        # the varied group times scale ** k, or the other group times its
         # inverse, whichever factor is below 1 and so cannot overflow
-        if varied and alt.scale < 1:
-            values *= alt.scale ** alt.shape
-        elif not varied and alt.scale > 1:
-            values *= alt.scale ** -alt.shape
-    else:  # weibull
-        values = generator.weibull(alt.shape, shape)
+        if varied and scale < 1:
+            values *= scale ** k
+        elif not varied and scale > 1:
+            values *= scale ** -k
+    else:
+        values = generator.weibull(k, shape)
         if varied:
-            values *= alt.scale
+            values *= scale
     return values
 
 
@@ -343,7 +334,7 @@ class _Job(NamedTuple):
 def _block_histogram(job: _Job) -> np.ndarray:
     """Counts of each statistic value over one block's replicates.
 
-    x is drawn whole and ordered in place, then y in row chunks of about
+    x is drawn whole and sorted by row, then y in row chunks of about
     _CHUNK_BYTES: the stream is sequential, so y equals one (rows, n) draw.
     Both are drawn in rank space (see _draw_group): the statistics read only
     the pooled order, which an increasing map of both groups, such as
@@ -357,11 +348,8 @@ def _block_histogram(job: _Job) -> np.ndarray:
     x = _draw_group(
         job.alt, job.generator, (job.rows, m), job.alt.varied == "training", ranks=True
     )
-    if statistic == "V":
-        x.partition(m - s, axis=1)
-    else:
-        x.sort(axis=1)
-    counts = np.zeros(m + (n if statistic == "V" else 0) + 1, dtype=np.int64)
+    x.sort(axis=1)
+    counts = np.zeros(m + n + 1, dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (8 * n))
     for lo in range(0, job.rows, step):
         rows = min(step, job.rows - lo)
@@ -376,21 +364,20 @@ def _block_histogram(job: _Job) -> np.ndarray:
 def _chunk_statistics(
     x: np.ndarray, y: np.ndarray, r: int, s: int, statistic: str
 ) -> np.ndarray:
-    """The statistic of every row of one chunk; y is reordered in place.
+    """The statistic of every row of one chunk of sorted x; y is sorted in place.
 
-    Rows of x are sorted for T and Q, and for V partitioned at m - s. For T
-    and Q one sort of each row of y serves both ends: numpy sorts a whole row
-    faster than it partitions it at r - 1 (and n - s) and sorts the two ends.
+    One sort of each row of y serves every statistic: numpy sorts a whole
+    row faster than it partitions it at r - 1 (and n - s) and sorts the two
+    ends. V counts #{x <= Y_(r)} + n - #{y <= X_(m-s+1)} by two searches.
     """
     import numpy as np
 
     m, n = x.shape[1], y.shape[1]
-    if statistic == "V":
-        y.partition(r - 1, axis=1)
-        preceding = np.count_nonzero(x <= y[:, r - 1, None], axis=1)
-        exceeding = np.count_nonzero(y > x[:, m - s, None], axis=1)
-        return preceding + exceeding
     y.sort(axis=1)
+    if statistic == "V":
+        preceding = _count_at_or_below(x, y[:, r - 1 : r])
+        not_exceeding = _count_at_or_below(y, x[:, m - s : m - s + 1])
+        return (preceding + n - not_exceeding)[:, 0]
     queries = y[:, :r]
     if statistic == "T":
         # #{x >= v} = m - #{x <= the float just below v}, so one search serves both
@@ -468,10 +455,11 @@ def _histograms(rng: SeededRng, cell: tuple, runs: list) -> list[np.ndarray]:
 
 
 def _mc_critical_value(counts: np.ndarray, reps: int, alpha: float) -> CriticalValue:
-    """Empirical critical value and attained tail masses of a null histogram."""
-    tails = list(counts[::-1].cumsum()[::-1] / reps) + [0.0]
-    crit = _critical_from_tails(tails, alpha)
-    return CriticalValue(crit.c, float(crit.alpha1), float(crit.alpha2))
+    """Empirical critical value and attained tail masses of a null histogram:
+    the least c with P[stat >= c] <= alpha. c >= 1, as the tail at 0 is 1."""
+    tails = (counts[::-1].cumsum()[::-1] / reps).tolist() + [0.0]
+    c = next(t for t, mass in enumerate(tails) if mass <= alpha)
+    return CriticalValue(c, tails[c], tails[c - 1])
 
 
 def mc_power(

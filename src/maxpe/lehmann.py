@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .combinatorics import log_beta
 from .errors import NumericalError, ParameterError
 from .null_dist import (
-    _check_budget, _cross, _cross_steps, _float_sum, _Law, _series, _validate_params,
+    _check_budget, _cross, _cross_steps, _float_sum, _Law, _series, _triangle,
+    _truncation_top, _validate_params,
 )
 from .statistics import FrequencyVector
 
@@ -300,7 +301,8 @@ def _log_counts(
 ) -> tuple[float, list[float]]:
     """ln(n! / q! * gamma^(r+s)) and ln(m! / (m-t)!) for t = 0..top, from exact integers."""
     log_c = math.log(math.perm(n, r + s)) + (r + s) * math.log(gamma)
-    return log_c, [math.log(math.perm(m, t)) for t in range(top + 1)]
+    perms = accumulate(range(m, m - top, -1), mul, initial=1)  # m! / (m-t)!, t = 0..top
+    return log_c, list(map(math.log, perms))
 
 
 def joint_frequency_pmf_lehmann(fv: FrequencyVector, gamma: float) -> float:
@@ -379,16 +381,11 @@ def _steps(m: int, n: int, r: int, s: int, top: int) -> int:
     # the side tables, _side's copy of at most tri entries per side into rows
     # by largest cell, and the cross step's multiply-adds
     steps = _side_steps(r, cap, top) + _side_steps(s, cap, top) + 2 * tri
-    steps += _cross_steps(r, s, cap, _full_cells(top)) + _ENTRY_STEPS * entries
+    steps += _cross_steps(r, s, cap, _triangle(top)) + _ENTRY_STEPS * entries
     # the (m + 1)(q + 1) entries of the Beta-sum recurrence, whatever T, and
     # its m + q + 1 anti-diagonals, each costing about six entries
     q = n - r - s
     return steps + _SUM_STEPS * ((m + 1) * (q + 1) + 6 * (m + q + 1))
-
-
-def _full_cells(top: int) -> list[tuple[int, int, int]]:
-    """The cells (i, j) with i + j <= top, as _cross takes them."""
-    return [(j, 0, top - j) for j in range(top + 1)]
 
 
 def alternative_distribution(
@@ -421,9 +418,7 @@ def alternative_distribution(
     any work, above WORK_BUDGET steps.
     """
     _validate(m, n, r, s, gamma)
-    top = m if t_max is None else min(t_max, m)
-    if top < 0:
-        raise ParameterError("t_max must be non-negative")
+    top = _truncation_top(m, t_max)
     cap = min(m, max(r, s) * top)  # T: the largest total a cell i + j <= top reads
     _check_budget(_steps(m, n, r, s, top), "Lehmann-law")
     diagonal = _beta_sums(0, m + 1, n - r - s, r, gamma, cap + 1)  # ln S(t, t)
@@ -442,7 +437,7 @@ def alternative_distribution(
             math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_st)
             for t, log_st in enumerate(log_s, n1)
         ]
-    cells = _full_cells(top)
+    cells = _triangle(top)
     pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, cap, _float_sum)
     return AlternativeDistribution(
         m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf),

@@ -183,6 +183,19 @@ _Cells = list[tuple[int, int, int]]
 _Rows = Union[Mapping[int, Sequence[Any]], Sequence[Sequence[Any]]]  # row per largest cell
 
 
+def _truncation_top(m: int, t_max: Optional[int]) -> int:
+    """The largest total a law truncated to {0..t_max} keeps: m without t_max."""
+    top = m if t_max is None else min(t_max, m)
+    if top < 0:
+        raise ParameterError("t_max must be non-negative")
+    return top
+
+
+def _triangle(top: int) -> _Cells:
+    """The cells (i, j) with i + j <= top, as _cross takes them."""
+    return [(j, 0, top - j) for j in range(top + 1)]
+
+
 def _cross_steps(r: int, s: int, length: int, cells: _Cells) -> int:
     """Multiply-adds _cross does with r- and s-cell side rows, counted before any."""
     steps = 0
@@ -290,10 +303,8 @@ def null_distribution(
     BudgetExceededError above WORK_BUDGET kernel steps.
     """
     _validate_params(m, n, r, s)
-    top = m if t_max is None else min(t_max, m)
-    if top < 0:
-        raise ParameterError("t_max must be non-negative")
-    pmf = _exact_pmf(m, n, r, s, [(j, 0, top - j) for j in range(top + 1)])
+    top = _truncation_top(m, t_max)
+    pmf = _exact_pmf(m, n, r, s, _triangle(top))
     return NullDistribution(m=m, n=n, r=r, s=s, pmf_values=tuple(pmf), complete=top == m)
 
 
@@ -336,5 +347,5 @@ def asymptotic_null_cdf(r: int, s: int, t: int, n_max: int = 40) -> float:
         return 0.0
     top = min(t, n_max)
     weights = [2 ** (n_max - k) for k in range(n_max + 1)]
-    num = _kernel(r, s, weights, [(j, 0, top - j) for j in range(top + 1)])
+    num = _kernel(r, s, weights, _triangle(top))
     return sum(num) / 2 ** (n_max + r + s)

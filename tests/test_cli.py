@@ -155,6 +155,33 @@ class TestTestCommand:
         assert "input error:" in capsys.readouterr().err
 
 
+class TestReadSampleColumn:
+    def test_empty_cell_keeps_later_cells_in_their_columns(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("a,b\n1,2\n,3\n4,5\n")
+        assert cli.read_sample_column(str(path), "b") == [2.0, 3.0, 5.0]
+
+    def test_columns_may_end_early(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1,2\n3,4\n5,\n6\n")
+        assert cli.read_sample_column(str(path), "a") == [1.0, 3.0, 5.0, 6.0]
+        assert cli.read_sample_column(str(path), "b") == [2.0, 4.0]
+
+    def test_value_after_a_missing_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        path.write_text("a,b\n1,2\n,3\n4,5\n")
+        code = main(
+            [
+                "test",
+                "--training", str(path), "--training-col", "a",
+                "--test", str(path), "--test-col", "b",
+                "--r", "1", "--s", "1",
+            ]
+        )
+        assert code == 2
+        assert "'4' after the column's end at row 2" in capsys.readouterr().err
+
+
 class TestNullDistCommand:
     def test_tiny_table(self, tmp_path):
         out = tmp_path / "dist.csv"

@@ -109,7 +109,8 @@ class TestCriticalValue:
                 attained = [t for t in tails if 0 < t < 1]
                 levels = [0.01, 0.05, 0.1, 0.5, 0.999] + attained + list(map(float, attained))
                 for alpha in levels:
-                    expected = inference._critical_from_tails(tails, alpha)
+                    c = next(t for t, mass in enumerate(tails) if mass <= alpha)
+                    expected = (c, tails[c], tails[c - 1])
                     crit = critical_value(m, n, r, s, alpha)
                     assert crit == expected
                     assert type(crit.alpha1) is type(crit.alpha2) is Fraction
@@ -229,6 +230,16 @@ class TestSamplePair:
         assert float(x2.mean()) == pytest.approx(5.0, rel=0.05)
         assert float(y2.mean()) == pytest.approx(1.0, rel=0.05)
 
+    def test_exponential_draws_are_shape_one_weibull_draws(self):
+        """_draw_group draws an exponential as the Weibull of shape 1: numpy
+        gives the same bits for all three from one key."""
+        def draw(name, *args):
+            return getattr(SeededRng(31, stream=4).generator(purpose=1, block=2), name)(*args)
+
+        weibull = draw("weibull", 1.0, (50, 40))
+        assert np.array_equal(weibull, draw("exponential", 1.0, (50, 40)))
+        assert np.array_equal(weibull, draw("standard_exponential", (50, 40)))
+
     def test_spec_validation(self):
         with pytest.raises(ParameterError):
             AlternativeSpec.lehmann(-1.0)
@@ -236,12 +247,6 @@ class TestSamplePair:
             AlternativeSpec.weibull(0.0, 1.0)
         with pytest.raises(ParameterError):
             AlternativeSpec(kind="lognormal")
-
-
-def _ordered(x, s, statistic):
-    """x as _block_histogram leaves it: partitioned at m - s for V, else sorted."""
-    m = x.shape[1]
-    return np.partition(x, m - s, axis=1) if statistic == "V" else np.sort(x, axis=1)
 
 
 class TestBlockStatisticsAgainstScalar:
@@ -253,7 +258,7 @@ class TestBlockStatisticsAgainstScalar:
         # integer-valued draws force heavy ties through the same code path
         x = rng.integers(0, 8, size=(300, m)).astype(float)
         y = rng.integers(0, 8, size=(300, n)).astype(float)
-        block = _chunk_statistics(_ordered(x, s, statistic), y.copy(), r, s, statistic)
+        block = _chunk_statistics(np.sort(x, axis=1), y.copy(), r, s, statistic)
         for row in range(x.shape[0]):
             bundle = statistic_bundle(x[row], y[row], r, s)
             expected = {

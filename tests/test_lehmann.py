@@ -531,3 +531,12 @@ def test_pinned_outputs_hold_under_compensated_sum(data_dir, monkeypatch):
     monkeypatch.setattr(lehmann, "sum", _compensated_sum, raising=False)
     monkeypatch.setattr(null_dist, "sum", _compensated_sum, raising=False)
     _assert_pinned_outputs(data_dir)
+
+
+@pytest.mark.parametrize("m,top", [(1, 0), (1, 1), (7, 4), (40, 40), (300, 120), (1000, 1000)])
+def test_falling_factorial_logs_equal_the_per_t_permutation_counts(m, top):
+    """_log_counts takes m! / (m-t)! as running products, the same integers
+    as math.perm(m, t), so every logarithm is the same float."""
+    log_c, log_perm = lehmann._log_counts(m, m + 5, 2, 3, 1.5, top)
+    assert log_c == math.log(math.perm(m + 5, 5)) + 5 * math.log(1.5)
+    assert log_perm == [math.log(math.perm(m, t)) for t in range(top + 1)]
