@@ -53,12 +53,21 @@ def _tokenize(path: str) -> list[list[str]]:
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     rows = []
-    for line in text.splitlines():
+    shortest = sys.maxsize  # the fewest cells of a row so far
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         # an empty comma-delimited cell keeps its place; trailing ones end the row
         cells = line.rstrip(", \t").split(",") if "," in line else line.split()
+        # a whitespace-delimited row can only end early: one longer than an
+        # earlier row lost a cell before its end, and its cells have shifted
+        if "," not in line and len(cells) > shortest:
+            raise InputFormatError(
+                f"{path} line {number}: {len(cells)} whitespace-separated cells after a"
+                f" row of {shortest}; a cell is missing before the row's end"
+            )
+        shortest = min(shortest, len(cells))
         rows.append([t.strip() for t in cells])
     if not rows:
         raise InputFormatError(f"{path} contains no data")
@@ -79,7 +88,9 @@ def read_sample_column(path: str, column: Optional[str] = None) -> list[float]:
     Single-column files need no selector; files with a header row and
     several columns need `column` (a header name or 0-based index). A
     column may end early, at an empty cell or a shorter row; a value after
-    that, like a non-numeric cell, is a hard error.
+    that, like a non-numeric cell, is a hard error, and so is a
+    whitespace-delimited row longer than an earlier row, which cannot say
+    which of its cells is missing.
     """
     rows = _tokenize(path)
     header: Optional[list[str]] = None

@@ -7,16 +7,13 @@ the cell-count factorials; n1 is the precedence total, t the total of all
 cells, q = n - r - s. S is the integral of x^(n1 + r gamma - 1) (1-x)^(m-t)
 (1-x^gamma)^q over [0, 1], and it is never formed as the alternating sum.
 The pmf comes from three polynomial passes over positive quantities, so
-nothing cancels: side tables by a recurrence over (partial sum, running
-max) states, returned by largest cell, each cell's Beta factors over
-factorials read from one O(m) table of log-gamma differences, and no state
-holding a cell above the largest the law reads; the link weights, each row
-from a row of S summed from the row below, the diagonal of S from a
-recurrence in decimal that integration by parts gives (its logarithm from
-the float logarithm of its mantissa); and the null kernel's cross step. A
-law truncated to T <= t_max needs every table only up to the total
-min(m, max(r, s) t_max), whatever m, and its side states only up to the
-largest cell t_max. gamma = 1 recovers the exact null.
+nothing cancels: side tables by largest cell, each cell's Beta factors over
+factorials read from one O(m) table of log-gamma differences; the link
+weights, each row from a row of S summed from the row below, the diagonal
+of S from a recurrence in decimal that integration by parts gives; and the
+null kernel's cross step. A law truncated to T <= t_max needs every table
+only up to the total min(m, max(r, s) t_max), whatever m, and its side
+states only up to the largest cell t_max. gamma = 1 recovers the exact null.
 """
 
 from __future__ import annotations
@@ -26,14 +23,14 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
 from itertools import accumulate
-from operator import add, mul, truediv
+from operator import add, mul, sub, truediv
 from typing import Callable, Iterable, Optional, Sequence
 
 from .combinatorics import log_beta
 from .errors import NumericalError, ParameterError
 from .null_dist import (
-    _check_budget, _cross, _cross_steps, _float_sum, _Law, _series, _triangle,
-    _truncation_top, _validate_params,
+    WORK_BUDGET, _check_budget, _cross, _cross_steps, _float_sum, _Law, _series,
+    _triangle, _truncation_top, _validate_params,
 )
 from .statistics import FrequencyVector
 
@@ -46,16 +43,17 @@ __all__ = [
 
 # Weights, in WORK_BUDGET steps of one float multiply-add, of a table entry
 # built by a call or by exp, log1p or lgamma; of a move of _side, an exp and
-# the loop step that adds it; and of one entry of the Beta-sum recurrence,
-# three decimal operations at 21-27 digits, whose anti-diagonals cost about
-# six entries each more. With CPython 3.11 on a shared 2-vCPU Xeon VM a move
-# took 0.7-0.9 us, a pair of _side's row slices about 50 ns, and a
-# recurrence entry 0.37-0.4 us where the other passes ran at 35-47 ns a
-# step. With these weights whole laws at n = m, gamma = 2 ran at 47-81 ns a
-# step at r = s = 1, 2, 3, 5 and 10, m = 100-1200, and the largest the
-# budget admits at 65-83 ns a step, 6.5-8.3 s, on a busy host
+# its share of the per-total passes; of a slice pass of _side; and of one
+# entry of the Beta-sum recurrence, three decimal operations at 21-27
+# digits, whose anti-diagonals cost about six entries each more. On CPython
+# 3.11, a shared 2-vCPU Xeon VM, a fit of _side over 20 shapes gave 45 ns a
+# multiply-add, 0.33 us a move and 1.8 us a pass with its row's other work
+# (40 steps; 32 keeps r = s = 10 laws at the ns a step of r = s = 1, 2), and
+# a recurrence entry took 0.37-0.4 us. The largest laws the budget admits at
+# n = m, gamma = 2 and r = s = 1, 2, 10 ran at 59-104 ns a step, 5.9-10.4 s
 _ENTRY_STEPS = 5
-_MOVE_STEPS = 16
+_MOVE_STEPS = 7
+_PASS_STEPS = 32
 _SUM_STEPS = 8
 
 _PMF_SLACK = 1e-9
@@ -159,63 +157,64 @@ def _side(
     scale[t] is -inf at the totals no such vector reaches. Each total's
     entries peak at 1, so floats neither overflow nor underflow.
 
-    No state ever holds a cell above peak: after k cells, total t keeps its
-    states from its least largest cell first[t] = ceil(t / k) to min(t,
-    peak), and only the totals up to k * peak; the first cell holds the
-    whole total. Cell k >= 1 reads its factors from one table f[t] =
-    logs(k, t): the move from total t to u = t + v, v <= peak, weighs
-    exp(h(t) - f[u + 1]), h(t) = scale[t] + f[t], and is made as
-    exp(h(t) - H(u)), H(u) the largest h(t') over the totals t' that reach
-    u, so that H(u) - f[u + 1] goes into scale[u]. A move adds the states
-    below v, whose running max v becomes, as one product with a running sum
-    of the row (formed left to right), and each of its states from max(v,
-    first[t]) on to one entry, as _side_steps counts them. With peak = top
-    no move is skipped: every total's row then depends only on the totals
-    below it, so a smaller top gives the same bits for the totals it keeps.
-    A smaller peak normalizes each total over fewer states, so its rows
-    agree with the uncapped ones to rounding, not bit for bit."""
+    After k cells rows[i] holds the totals i..min(k i, top). Cell k >= 1
+    reads f[t] = logs(k, t): the move of v from total t weighs exp(h[t] -
+    f[t + v + 1]), h = scale + f, made as cv[v][t] = exp(h[t] - H[t + v]),
+    H[u] the largest h over the totals reaching u; H[u] - f[u + 1] goes into
+    scale[u]. Row i of cell k >= 2 starts as cv[i] times the sum of rows
+    0..i - 1, the states whose largest cell v = i becomes, then adds cv[v]
+    times itself shifted by v, v = i..0, two v to a slice pass: each entry
+    adds its terms in the order of the former recurrence over totals, so the
+    bits are the same. Cell 1 is closed: total u of row i comes from (u - i,
+    i) and (i, u - i). With peak = top a smaller top keeps the same bits; a
+    smaller peak normalizes each total over fewer states, to rounding."""
     reach = min(top, peak)  # the largest total the cells so far hold
-    first = list(range(reach + 1))
-    # the first cell holds the whole total u, of weight 1 / u! = exp(-f[u + 1])
+    # the first cell holds the whole total i, of weight 1 / i! = exp(-f[i + 1])
     scale = [-x for x in map(logs, [0] * (reach + 1), range(1, reach + 2))]
     scale += [-math.inf] * (top - reach)
-    w = [[1.0]] * (reach + 1)  # w[total][largest - first[total]]
+    rows = [[1.0]] * (reach + 1)
     for k in range(1, length):
         grown = min(top, (k + 1) * peak)
         f = [logs(k, t) for t in range(grown + 2)]
         h = list(map(add, scale, f))
-        prefix = [list(accumulate(row, initial=0.0)) for row in w]  # sum(row[:j])
-        band = [-(-u // (k + 1)) for u in range(grown + 1)]
-        w += [[]] * (grown - reach)
-        # totals high to low: total u reads only the states t <= u, not yet
-        # replaced, and adds their moves with t ascending
-        for u in range(grown, -1, -1):
-            lo = u - peak if u > peak else 0
-            reached = h[lo : (u if u < reach else reach) + 1]
-            h_max = max(reached)
-            moves = [math.exp(h_t - h_max) for h_t in reached]  # moves[t - lo]
-            half, b = (u + 1) // 2, band[u]
-            # a cell v = u - t above every state of t < half sets their
-            # running max: out[v - b] is one product with the row's sum
-            out = [0.0] * ((u - half if u - half < peak else peak) + 1 - b) + [
-                moves[t - lo] * prefix[t][-1] for t in range(half - 1, lo - 1, -1)
-            ]
-            for t in range(half if half > lo else lo, lo + len(moves)):
-                v, c, row, a = u - t, moves[t - lo], w[t], first[t]
-                # the states from i to min(t, peak) keep their largest cell
-                i, end = a, (t if t < peak else peak) + 1 - b
-                if v > a:
-                    out[v - b] += c * prefix[t][v - a]
-                    i = v
-                out[i - b : end] = [o + c * x for o, x in zip(out[i - b : end], row[i - a :])]
-            most = max(out)
-            scale[u] = h_max - f[u + 1] + math.log(most)
-            w[u] = [x / most for x in out]
-        first, reach = band, grown
-    return scale, [
-        [w[t][i - first[t]] for t in range(i, min(length * i, top) + 1)]
-        for i in range(min(top, peak) + 1)
-    ]
+        H = [max(h[u - peak if u > peak else 0 : (u if u < reach else reach) + 1])
+             for u in range(grown + 1)]
+        cols = []
+        if k > 1:  # cv[v][t] for t <= min(reach, top - v), then a 0
+            cv = [list(map(math.exp, map(sub, h[: min(reach, top - v) + 1], H[v:]))) + [0.0]
+                  for v in range(len(rows))]
+            below = [0.0] * (reach + 1)  # below[t]: the rows before row i at total t
+        for i, row in enumerate(rows):
+            n, cap = len(row), top - i + 1
+            if k == 1:  # total u: (u - i, i) for u < 2 i, then (i, u - i)
+                kept = list(map(math.exp, map(sub, [h[i]] * min(i + 1, cap), H[i:])))
+                col = list(map(add, map(math.exp, map(sub, h[: min(i, cap)], H[i:])), kept))
+                cols.append(col + kept[i:])
+                continue
+            b = min(k * i - k + 1, cap) if i else 0
+            col = list(map(mul, cv[i][:b], below)) + [0.0] * (min(k * i + 1, cap) - b)
+            # v = hi..1 in pairs (v, v - 1), each with a 0 at one end
+            hi, row0, rowp = min(i, cap - 1), [0.0] + row, row + [0.0]
+            for v in range(hi, 0, -2):
+                e = v + n if v + n < cap else cap
+                terms = zip(col[v - 1 : e], cv[v][i - 1 : i + e - v], row0,
+                            cv[v - 1][i : i + e - v + 1], rowp)
+                col[v - 1 : e] = [o + a * x + c * y for o, a, x, c, y in terms]
+            if not hi % 2:
+                col[:n] = [o + c * x for o, c, x in zip(col, cv[0][i : i + n], row)]
+            below[i : i + n] = map(add, below[i : i + n], row)
+            cols.append(col)
+        # total u of row i at flat[i * (top + 1) + u], so that flat[u :: top + 1]
+        # holds total u's entries, and 0 where a row lacks u
+        flat = []
+        for i, col in enumerate(cols):
+            flat += [0.0] * (i * (top + 2) - len(flat)) + col
+        most = [max(flat[u :: top + 1]) for u in range(grown + 1)]
+        scale = list(map(add, map(sub, H, f[1:]), map(math.log, most)))
+        scale += [-math.inf] * (top - grown)
+        rows = [list(map(truediv, col, most[i:])) for i, col in enumerate(cols)]
+        reach = grown
+    return scale, rows
 
 
 # ln 10 in two parts: e * _LN10_HI is exact for |e| < 2^27, and _LN10_LO
@@ -270,6 +269,7 @@ def _beta_sums(n1: int, b: int, q: int, r: int, gamma: float, count: int) -> lis
     with localcontext(Context(prec=20 + len(str(b + q)), Emax=MAX_EMAX, Emin=MIN_EMIN)):
         g = Decimal(gamma)
         base = [n1 + r * g + g * (q - p) for p in range(q + 1)]  # a + gamma (q - p)
+        offsets = list(map(Decimal, range(b)))
         # column[p + 1] = G(d - p, p) on the latest anti-diagonal d that holds
         # p, 0 off the grid, and G(-1, 0) = 1 so that G(0, 0) comes out as 1
         # over its denominator
@@ -280,7 +280,7 @@ def _beta_sums(n1: int, b: int, q: int, r: int, gamma: float, count: int) -> lis
             column[lo + 1 : hi + 2] = map(
                 truediv,
                 map(add, column[lo + 1 : hi + 2], column[lo : hi + 1]),  # G(j-1, p) + G(j, p-1)
-                map(add, base[lo : hi + 1], range(b - 1 - d + lo, b - d + hi)),
+                map(add, base[lo : hi + 1], offsets[b - 1 - d + lo : b - d + hi]),
             )
             if hi == q:
                 last.append(column[q + 1])
@@ -322,48 +322,35 @@ def joint_frequency_pmf_lehmann(fv: FrequencyVector, gamma: float) -> float:
     return min(1.0, math.exp(log_p))
 
 
-def _piecewise_sum(g: Callable[[int], int], ends: Iterable[int], hi: int) -> int:
-    """g(0) + g(1) + ... + g(hi), g a polynomial of degree at most 2 on each
-    piece lo..end that `ends` cut 0..hi into: n g(lo) + C(n, 2) dg + C(n, 3)
-    d2g from g's first three values on the piece, n = end - lo + 1 (Newton's
-    forward differences; the values past a shorter piece weigh 0)."""
-    total, lo = 0, 0
-    for end in sorted({e for e in ends if e < hi} | {hi}):
-        n = end - lo + 1
-        if n > 0:
-            g0, g1, g2 = g(lo), g(lo + 1), g(lo + 2)
-            total += n * g0 + n * (n - 1) // 2 * (g1 - g0)
-            total += n * (n - 1) * (n - 2) // 6 * (g2 - 2 * g1 + g0)
-            lo = end + 1
-    return total
-
-
 def _side_steps(length: int, top: int, peak: int) -> int:
     """Steps of _side(length, top, ..., peak), counted before any:
-    _ENTRY_STEPS per entry of its log tables, min(top, peak) + 1 for the
-    first cell and min(top, (k + 1) peak) + 2 for cell k; and per later
-    cell, _MOVE_STEPS per move, one from each total t <= min(top, k peak) by
-    each v <= min(peak, top - t), and one step per pair of its row slices:
-    the (t, v, i) with v <= i <= min(t, peak), t <= k i (i at least first[t])
-    and t + v <= top. Over t for fixed (v, i) that is min(k i, top - v) - i +
-    1 pairs, a polynomial in i between the breaks top // (k + 1), top // 2
-    and top // k. From k = top on every cell counts the same."""
+    _ENTRY_STEPS per entry of its log tables, min(top, peak) + 1 and then
+    min(top, (k + 1) peak) + 2 for cell k; _MOVE_STEPS per move, an exp from
+    each total t <= min(top, k peak) by each v <= min(peak, top - t); from
+    cell 2 on, per row, _PASS_STEPS per slice pass and one per multiply-add,
+    two per entry of a pass of v and v - 1. From cell max(top, 2) on every
+    cell counts the same; the count stops once past WORK_BUDGET."""
     def cell(k: int) -> int:
-        moves = _piecewise_sum(lambda t: min(peak, top - t) + 1, [top - peak], min(top, k * peak))
+        reach = min(top, k * peak)
+        full = max(0, min(reach, top - peak) + 1)  # the totals t < full move every v
+        moves = full * (peak + 1) + _series(top - reach + 1, top - full + 1)
+        steps = _ENTRY_STEPS * (min(top, (k + 1) * peak) + 2) + _MOVE_STEPS * moves
+        for i in range(min(top, peak) + 1) if k > 1 else ():
+            n, cap = min(k * i, top) - i + 1, top - i + 1
+            hi = min(i, cap - 1)
+            pairs, single = (hi + 1) // 2, 1 - hi % 2
+            # the passes v = hi, hi - 2, .. >= 1 hold min(n, cap - v) + 1 entries
+            cut = min(pairs, max(0, (hi - cap + n + 1) // 2))  # those with cap - v < n
+            entries = cut * (cap - hi + cut - 1) + (pairs - cut) * n + pairs
+            steps += _PASS_STEPS * (pairs + single) + 2 * entries + single * n
+        return steps
 
-        def pairs(i: int) -> int:  # the pairs of largest cell i, over v
-            last = min(i, top - i)
-            kept = max(0, min(last, top - k * i) + 1)  # the v whose t run up to k i
-            return kept * (k * i - i + 1) + (last + 1 - kept) * (top - i + 1) - _series(kept, last)
-
-        slices = _piecewise_sum(pairs, [top // (k + 1), top // 2, top // k], min(top, peak))
-        return _ENTRY_STEPS * (min(top, (k + 1) * peak) + 2) + _MOVE_STEPS * moves + slices
-
-    same = max(top, 1)
-    return (
-        _ENTRY_STEPS * (min(top, peak) + 1) + sum(map(cell, range(1, min(length, same))))
-        + max(0, length - same) * cell(same)
-    )
+    steps, same = _ENTRY_STEPS * (min(top, peak) + 1), max(top, 2)
+    for k in range(1, min(length, same)):
+        steps += cell(k)
+        if steps > WORK_BUDGET:
+            return steps
+    return steps + max(0, length - same) * cell(same)
 
 
 @lru_cache(maxsize=128)
@@ -378,8 +365,8 @@ def _steps(m: int, n: int, r: int, s: int, top: int) -> int:
     # the link table; one sum per H_j entry and per cell of the cross step;
     # T + 1 logarithms of the diagonal Beta sums
     entries = (r + s + 4) * tri + cap + 1
-    # the side tables, _side's copy of at most tri entries per side into rows
-    # by largest cell, and the cross step's multiply-adds
+    # the side tables, the cross step's multiply-adds, and two more per S
+    # entry: its _log_add call took 287 ns, a link entry 184
     steps = _side_steps(r, cap, top) + _side_steps(s, cap, top) + 2 * tri
     steps += _cross_steps(r, s, cap, _triangle(top)) + _ENTRY_STEPS * entries
     # the (m + 1)(q + 1) entries of the Beta-sum recurrence, whatever T, and
@@ -397,20 +384,21 @@ def alternative_distribution(
 
     1. side tables P[n1][i] and E[n2][j], summed over the vectors with cell
        total n1 (n2) and largest cell i (j) <= t_max: about T t_max moves
-       per cell after the first (T^2 / 2 for the full law), and about
-       (r + s - 2) T^3 / 12 multiply-adds in all for the full law;
+       per cell after the first, an exp each, and from the third cell on
+       about t_max^2 / 4 slice passes and, for the full law, T^3 / 12
+       multiply-adds;
     2. the Beta sums S(n1, t) from S(n1, t) = S(n1, t-1) + S(n1+1, t) and
        the T + 1 diagonal sums, which _beta_sums reads off (m + 1)(q + 1)
        entries of a positive recurrence in decimal, whatever T, and T + 1
-       logarithms; rows n1 = T..0 each come from the row below and feed
-       link row n1 at once, so no table of S is kept;
+       logarithms; rows n1 = T..0, cut at t - n1 <= s t_max, each come
+       from the row below and feed link row n1 <= r t_max at once;
     3. the null kernel's cross step: H_j[n1] = sum_n2 E[n2][j] S(n1, n1 + n2)
        / (m - n1 - n2)!, once per j, and pmf[i + j] += P[n1][i] H_j[n1], each
        sum over the band n2 <= s*j (n1 <= r*i) where the side entry can be
        nonzero: at most T^3 / 3 multiply-adds, (T + 1)(T + 2) when r = s = 1.
 
-    Passes 1 and 2 also build O(T^2) tables, a side's by-total triangle and
-    the link table, which _steps counts with the passes. A truncated law
+    Passes 1 and 2 also build O(T^2) tables, a side's rows and the link
+    table, which _steps counts with the passes. A truncated law
     (complete=False) agrees with the full law's first t_max + 1 entries to
     rounding: its side tables never form the states above t_max, so they
     cannot share the full law's per-total normalization; its diagonal Beta
@@ -431,12 +419,12 @@ def alternative_distribution(
     # side entries peaking at 1 every factor here is at most 1
     link: list[list[float]] = [[]] * (cap + 1)
     log_s: list[float] = []
-    for n1 in range(cap, -1, -1):
-        log_s = list(accumulate(log_s, _log_add, initial=diagonal[n1]))
+    for n1 in range(cap, -1, -1):  # the cells read n1 <= r top, t - n1 <= s top
+        log_s = list(accumulate(log_s[: s * top], _log_add, initial=diagonal[n1]))
         link[n1] = [
             math.exp(log_c + log_perm[t] + scale_p[n1] + scale_e[t - n1] + log_st)
             for t, log_st in enumerate(log_s, n1)
-        ]
+        ] if n1 <= r * top else []
     cells = _triangle(top)
     pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, cap, _float_sum)
     return AlternativeDistribution(

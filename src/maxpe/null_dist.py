@@ -200,9 +200,11 @@ def _cross_steps(r: int, s: int, length: int, cells: _Cells) -> int:
     """Multiply-adds _cross does with r- and s-cell side rows, counted before any."""
     steps = 0
     for j, i_lo, i_hi in cells:
-        top = min(s * j, length)
-        # H_j: each k2 in [j, top] meets length - k2 + 1 values of k1
-        steps += _series(length - top + 1, length - j + 1)
+        top, reach = min(s * j, length), min(r * i_hi, length - j)
+        # H_j up to the largest k1 its cells read: each k2 in [j, top] meets
+        # min(reach, length - k2) + 1 values of k1
+        steps += (reach + 1) * max(0, min(top, length - reach - 1) - j + 1)
+        steps += _series(length - top + 1, reach + 1)
         # cell (i, j) runs k1 over [i, min(r * i, length - j)]
         split = min(i_hi, (length - j) // r)
         steps += (r - 1) * _series(i_lo, split) + max(0, split - i_lo + 1)
@@ -232,16 +234,17 @@ def _cross(
     for the exceedance side, and link(k1, lo, hi) the link weights L(k1, k2)
     for k2 = lo..hi - 1, cut short at k1 + k2 = K. Cell (i, j) sums
     rows_r[i][k1] * H_j[k1], H_j[k1] = sum rows_s[j][k2] * L(k1, k2); H_j is
-    formed once per j and shared by every i. Slicing only the band a row
-    covers keeps the copies within the _cross_steps count. `total` adds up
-    the products: sum for integers, _float_sum for floats.
+    formed once per j, up to the largest k1 its cells read, and shared by
+    every i. Slicing only the band a row covers keeps the copies within the
+    _cross_steps count. `total` adds up the products: sum for integers,
+    _float_sum for floats.
     """
     num = [0] * (max(j + i_hi for j, _, i_hi in cells) + 1)
     for j, i_lo, i_hi in cells:
         row_s = rows_s[j]
         h_j = [
             total(map(mul, row_s, link(k1, j, j + len(row_s))))
-            for k1 in range(length - j + 1)
+            for k1 in range(min(i_hi + len(rows_r[i_hi]), length - j + 1))
         ]
         for i in range(i_lo, i_hi + 1):
             row_r = rows_r[i]

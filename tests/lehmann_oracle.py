@@ -5,12 +5,17 @@ Every frequency vector of each side is enumerated and its Beta chain
 evaluated, with B(x, b) = (b-1)! / (x (x+1) ... (x+b-1)) for whole b.
 Vectors are grouped by (largest cell, cell total), and the groups are
 crossed through the alternating Beta sum, added term by term at a
-precision doubled until two evaluations agree.
+precision doubled until two evaluations agree. The side tables' former
+recurrence over totals is kept as the bit-level oracle of their
+by-largest-cell one.
 """
 
+import itertools
 import math
 import random
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 
 import mpmath
 
@@ -166,3 +171,83 @@ def beta_sum_errors(shapes):
                 for got, e in zip(_beta_sums(*shape), exact, strict=True)
             ))
     return errors
+
+
+def side(length, top, logs, peak):
+    """maxpe.lehmann._side by its former recurrence over totals, kept to
+    check the by-largest-cell version bit for bit: (scale, rows) with
+    exp(scale[t]) * rows[i][t - i] the sum, over the vectors of `length`
+    cells with total t <= top and largest cell i <= peak, of their chain
+    factors over their cell factorials.
+
+    After k cells total t keeps its states from its least largest cell
+    first[t] = ceil(t / k) to min(t, peak). Cell k >= 1 reads f[t] =
+    logs(k, t); the move from total t to u = t + v weighs exp(h(t) - H(u)),
+    h(t) = scale[t] + f[t] and H(u) the largest h(t') over the totals that
+    reach u, and H(u) - f[u + 1] goes into scale[u]. Totals run high to
+    low and each adds its moves with t ascending: a move adds the states
+    below v as one product with a running sum of the row, then each state
+    from max(v, first[t]) on to one entry."""
+    reach = min(top, peak)  # the largest total the cells so far hold
+    first = list(range(reach + 1))
+    # the first cell holds the whole total u, of weight 1 / u! = exp(-f[u + 1])
+    scale = [-x for x in map(logs, [0] * (reach + 1), range(1, reach + 2))]
+    scale += [-math.inf] * (top - reach)
+    w = [[1.0]] * (reach + 1)  # w[total][largest - first[total]]
+    for k in range(1, length):
+        grown = min(top, (k + 1) * peak)
+        f = [logs(k, t) for t in range(grown + 2)]
+        h = list(map(add, scale, f))
+        prefix = [list(accumulate(row, initial=0.0)) for row in w]  # sum(row[:j])
+        band = [-(-u // (k + 1)) for u in range(grown + 1)]
+        w += [[]] * (grown - reach)
+        # totals high to low: total u reads only the states t <= u, not yet
+        # replaced, and adds their moves with t ascending
+        for u in range(grown, -1, -1):
+            lo = u - peak if u > peak else 0
+            reached = h[lo : (u if u < reach else reach) + 1]
+            h_max = max(reached)
+            moves = [math.exp(h_t - h_max) for h_t in reached]  # moves[t - lo]
+            half, b = (u + 1) // 2, band[u]
+            # a cell v = u - t above every state of t < half sets their
+            # running max: out[v - b] is one product with the row's sum
+            out = [0.0] * ((u - half if u - half < peak else peak) + 1 - b) + [
+                moves[t - lo] * prefix[t][-1] for t in range(half - 1, lo - 1, -1)
+            ]
+            for t in range(half if half > lo else lo, lo + len(moves)):
+                v, c, row, a = u - t, moves[t - lo], w[t], first[t]
+                # the states from i to min(t, peak) keep their largest cell
+                i, end = a, (t if t < peak else peak) + 1 - b
+                if v > a:
+                    out[v - b] += c * prefix[t][v - a]
+                    i = v
+                out[i - b : end] = [o + c * x for o, x in zip(out[i - b : end], row[i - a :])]
+            most = max(out)
+            scale[u] = h_max - f[u + 1] + math.log(most)
+            w[u] = [x / most for x in out]
+        first, reach = band, grown
+    return scale, [
+        [w[t][i - first[t]] for t in range(i, min(length * i, top) + 1)]
+        for i in range(min(top, peak) + 1)
+    ]
+
+
+def side_mismatches(lengths, tops, peaks, gammas):
+    """The (length, top, peak, gamma, table) at which maxpe.lehmann._side
+    and side differ in scale or rows, compared with ==; peaks(top) gives
+    the peaks tried at each top. Each gamma is tried with the precedence
+    logs and with the exceedance logs of m = top, n = length + 9."""
+    from maxpe.lehmann import _exceedance_logs, _precedence_logs, _side
+
+    bad = []
+    for length, top, gamma in itertools.product(lengths, tops, gammas):
+        tables = {
+            "precedence": _precedence_logs(gamma),
+            "exceedance": _exceedance_logs(top, length + 9, gamma),
+        }
+        for table, logs in tables.items():
+            logs = lru_cache(maxsize=None)(logs)
+            for peak in peaks(top):
+                if _side(length, top, logs, peak) != side(length, top, logs, peak):
+                    bad.append((length, top, peak, gamma, table))
+    return bad

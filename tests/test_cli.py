@@ -181,6 +181,33 @@ class TestReadSampleColumn:
         assert code == 2
         assert "'4' after the column's end at row 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["a", "b"])
+    def test_whitespace_row_missing_a_leading_cell_exits_2(
+        self, tmp_path, data_dir, capsys, column
+    ):
+        # split on whitespace, "   3" would read as a row whose first cell is 3
+        path = tmp_path / "gap.txt"
+        path.write_text("a b\n1 2\n   3\n4 5\n")
+        with pytest.raises(cli.InputFormatError, match="line 4: 2 whitespace-separated cells"):
+            cli.read_sample_column(str(path), column)
+        code = main(
+            [
+                "test",
+                "--training", str(path), "--training-col", column,
+                "--test", str(data_dir / "type2.txt"),
+                "--r", "1", "--s", "1",
+            ]
+        )
+        assert code == 2
+        assert "input error:" in capsys.readouterr().err
+
+    def test_comma_rows_keep_their_cells_after_a_short_row(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("a,b\n1,2\n3\n4,5\n")
+        assert cli.read_sample_column(str(path), "a") == [1.0, 3.0, 4.0]
+        with pytest.raises(cli.InputFormatError, match="after the column's end"):
+            cli.read_sample_column(str(path), "b")
+
 
 class TestNullDistCommand:
     def test_tiny_table(self, tmp_path):

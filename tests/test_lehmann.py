@@ -332,6 +332,14 @@ class TestTruncatedLaw:
         assert alternative_distribution(m, n, r, s, gamma, m + 5) == full
 
     @pytest.mark.parametrize("length", range(1, 7))
+    def test_side_rows_equal_the_recurrence_over_totals(self, length):
+        # bit for bit: every entry gets its terms in the same order
+        mismatches = lehmann_oracle.side_mismatches(
+            [length], range(31), lambda top: range(top + 1), (0.25, 1.0, 3.7)
+        )
+        assert mismatches == []
+
+    @pytest.mark.parametrize("length", range(1, 7))
     def test_capped_side_rows_equal_the_uncapped_rows(self, length):
         """Rows i <= peak of a side that never forms a cell above peak, times
         exp of their scale, against the uncapped side's: within 1e-14

@@ -94,8 +94,10 @@ def test_budget_counts_the_work_done(r, s, length, monkeypatch):
 def _counted_side_steps(length, top, peak, monkeypatch):
     """Steps lehmann._side performs, weighed as lehmann._side_steps weighs
     them: _ENTRY_STEPS per entry of its log tables, _MOVE_STEPS per move,
-    which makes one exp, and one per pair of its row slices."""
-    tables, moves, pairs = [0], [0], [0]
+    which makes one exp, _PASS_STEPS per slice pass, one zip of a row with
+    its move factors, and one per multiply-add, two per entry of a pass
+    that zips two moves of the row."""
+    tables, moves, passes, adds = [0], [0], [0], [0]
     logs = lehmann._precedence_logs(2.0)
 
     def counting_logs(k, t):
@@ -107,15 +109,19 @@ def _counted_side_steps(length, top, peak, monkeypatch):
         return math.exp(x)
 
     def counting_zip(*iterables):
-        for pair in zip(*iterables):
-            pairs[0] += 1
-            yield pair
+        passes[0] += 1
+        for entry in zip(*iterables):
+            adds[0] += len(entry) // 2
+            yield entry
 
     with monkeypatch.context() as patch:
         patch.setattr(lehmann, "math", SimpleNamespace(**{**vars(math), "exp": exp}))
         patch.setattr(lehmann, "zip", counting_zip, raising=False)
         lehmann._side(length, top, counting_logs, peak)
-    return lehmann._ENTRY_STEPS * tables[0] + lehmann._MOVE_STEPS * moves[0] + pairs[0]
+    return (
+        lehmann._ENTRY_STEPS * tables[0] + lehmann._MOVE_STEPS * moves[0]
+        + lehmann._PASS_STEPS * passes[0] + adds[0]
+    )
 
 
 @pytest.mark.parametrize(
