@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,6 @@ from .inference import (
     randomized_decision,
     table_experiment,
 )
-from .lehmann import exact_power
 from .null_dist import null_distribution
 from .statistics import Sample, orders_from_rates, statistic_bundle
 
@@ -41,7 +41,7 @@ EXIT_NUMERICAL = 5
 
 
 class InputFormatError(ValueError):
-    """Raised for unreadable or non-numeric input data."""
+    """Raised for unreadable or malformed input data."""
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def read_sample_column(path: str, column: Optional[str] = None) -> list[float]:
     Single-column files need no selector; files with a header row and
     several columns need `column` (a header name or 0-based index). A
     column may end early, at an empty cell or a shorter row; a value after
-    that, like a non-numeric cell, is a hard error, and so is a
+    that, like a non-numeric or non-finite cell, is a hard error, and so is a
     whitespace-delimited row longer than an earlier row, which cannot say
     which of its cells is missing.
     """
@@ -130,10 +130,11 @@ def read_sample_column(path: str, column: Optional[str] = None) -> list[float]:
                 f"{path} row {row_number}: value {token!r} after the column's end at row {end}"
             )
         if not _is_number(token):
-            raise InputFormatError(
-                f"{path} row {row_number}: non-numeric cell {token!r}"
-            )
-        values.append(float(token))
+            raise InputFormatError(f"{path} row {row_number}: non-numeric cell {token!r}")
+        value = float(token)
+        if not math.isfinite(value):
+            raise InputFormatError(f"{path} row {row_number}: non-finite cell {token!r}")
+        values.append(value)
     if not values:
         raise InputFormatError(f"{path}: selected column is empty")
     return values
@@ -376,6 +377,8 @@ def _power_rows(args, statistics: list[str]) -> list[dict]:
             raise ParameterError(
                 "exact power is available under the Lehmann alternative only"
             )
+        from .lehmann import exact_power  # loaded only here
+
         rows = []
         for r, s in pairs:
             # exact_power refuses an over-budget Lehmann law before the null table

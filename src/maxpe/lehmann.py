@@ -64,43 +64,33 @@ _CellLogs = Callable[[int, int], float]
 
 
 class AlternativeDistribution(
-    _Law,
-    namedtuple(
-        "AlternativeDistribution",
-        "m n r s gamma pmf_values condition_estimate complete cdf_values",
-    ),
+    _Law, namedtuple("AlternativeDistribution", "m n r s gamma pmf_values complete cdf_values")
 ):
-    """pmf of the statistic under G = F^gamma.
-
-    condition_estimate, the factor by which cancellation magnifies rounding,
-    is 1.0: every pass of the law, its Beta sums included, adds positive
-    terms only, so no sum cancels. A truncated law (complete=False) covers
-    {0..t_max} and is only checked not to exceed total mass 1.
+    """pmf of the statistic under G = F^gamma. A truncated law
+    (complete=False) covers {0..t_max} and is only checked not to exceed
+    total mass 1.
     """
 
     __slots__ = ()
     _one = 1.0
+    # no pass of the law cancels, so rounding is never magnified; the
+    # benchmark's tracer still reads this
+    condition_estimate = 1.0
 
     def __new__(
         cls, m: int, n: int, r: int, s: int, gamma: float, pmf_values: Sequence[float],
-        condition_estimate: float, complete: bool = True,
+        complete: bool = True,
     ) -> "AlternativeDistribution":
         if any(p < -_PMF_SLACK or p > 1 + _PMF_SLACK for p in pmf_values):
-            raise NumericalError(
-                "pmf entries escaped [0, 1] beyond numerical slack; "
-                f"condition estimate was {condition_estimate:.3g}"
-            )
+            raise NumericalError("pmf entries escaped [0, 1] beyond numerical slack")
         total = math.fsum(pmf_values)
         if abs(total - 1.0) > _NORMALIZATION_SLACK and (complete or total > 1.0):
             raise NumericalError(
-                f"pmf sums to {total!r}, outside 1 +/- {_NORMALIZATION_SLACK}; "
-                f"condition estimate was {condition_estimate:.3g}"
+                f"pmf sums to {total!r}, outside 1 +/- {_NORMALIZATION_SLACK}"
             )
         clamped = tuple(min(1.0, max(0.0, p)) for p in pmf_values)
         cdf_values, _ = cls._cdf(clamped, cls._one)
-        return super().__new__(
-            cls, m, n, r, s, gamma, clamped, condition_estimate, complete, cdf_values
-        )
+        return super().__new__(cls, m, n, r, s, gamma, clamped, complete, cdf_values)
 
     def _tail(self, t: int) -> float:
         return 1.0 if t <= 0 else math.fsum(self.pmf_values[t:])
@@ -353,6 +343,12 @@ def _side_steps(length: int, top: int, peak: int) -> int:
     return steps + max(0, length - same) * cell(same)
 
 
+def _band(cap: int, rows: int, width: int) -> int:
+    """Entries of rows n1 = 0..rows of an (n1, t) table cut at t <= cap and
+    t - n1 <= width."""
+    return sum(min(width, cap - n1) + 1 for n1 in range(min(rows, cap) + 1))
+
+
 @lru_cache(maxsize=128)
 def _steps(m: int, n: int, r: int, s: int, top: int) -> int:
     """Work of alternative_distribution(m, n, r, s, ., top) in steps,
@@ -361,13 +357,15 @@ def _steps(m: int, n: int, r: int, s: int, top: int) -> int:
     counts the same."""
     cap = min(m, max(r, s) * top)
     tri = (cap + 1) * (cap + 2) // 2  # entries of an (n1, t) table
-    # each cell's normalized table of at most tri entries; the rows of S and
-    # the link table; one sum per H_j entry and per cell of the cross step;
-    # T + 1 logarithms of the diagonal Beta sums
-    entries = (r + s + 4) * tri + cap + 1
+    # the rows of S, and of the link table for n1 <= r top, cut at t - n1 <= s top
+    sums, links = _band(cap, cap, s * top), _band(cap, r * top, s * top)
+    # each cell's normalized table of at most tri entries; one sum per H_j
+    # entry and per cell of the cross step; T + 1 logarithms of the diagonal
+    # Beta sums
+    entries = (r + s + 2) * tri + sums + links + cap + 1
     # the side tables, the cross step's multiply-adds, and two more per S
     # entry: its _log_add call took 287 ns, a link entry 184
-    steps = _side_steps(r, cap, top) + _side_steps(s, cap, top) + 2 * tri
+    steps = _side_steps(r, cap, top) + _side_steps(s, cap, top) + 2 * sums
     steps += _cross_steps(r, s, cap, _triangle(top)) + _ENTRY_STEPS * entries
     # the (m + 1)(q + 1) entries of the Beta-sum recurrence, whatever T, and
     # its m + q + 1 anti-diagonals, each costing about six entries
@@ -428,8 +426,7 @@ def alternative_distribution(
     cells = _triangle(top)
     pmf = _cross(rows_p, rows_e, lambda n1, lo, hi: link[n1][lo:hi], cells, cap, _float_sum)
     return AlternativeDistribution(
-        m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf),
-        condition_estimate=1.0, complete=top == m,
+        m=m, n=n, r=r, s=s, gamma=gamma, pmf_values=tuple(pmf), complete=top == m
     )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxpe import cli
+from maxpe import cli, lehmann
 from maxpe.cli import fraction_to_decimal, main
 from maxpe.errors import NumericalError
 
@@ -200,6 +200,19 @@ class TestReadSampleColumn:
         )
         assert code == 2
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("role", ["training", "test"])
+    def test_non_finite_cell_exits_2(self, tmp_path, data_dir, capsys, cell, role):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1.5\n{cell}\n2.5\n")
+        good = str(data_dir / "type2.txt")
+        x, y = (str(path), good) if role == "training" else (good, str(path))
+        code = main(["test", "--training", x, "--test", y, "--r", "1", "--s", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {path} row 2: non-finite cell {cell!r}\n"
+        )
 
     def test_comma_rows_keep_their_cells_after_a_short_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -397,7 +410,7 @@ class TestPowerCommand:
         def fail(*args):
             raise NumericalError("pmf sums to 1.1")
 
-        monkeypatch.setattr(cli, "exact_power", fail)
+        monkeypatch.setattr(lehmann, "exact_power", fail)
         code = main(
             ["power", "--m", "8", "--n", "8", "--r", "1", "--s", "1",
              "--gamma", "2", "--method", "exact"]

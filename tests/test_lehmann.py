@@ -137,6 +137,53 @@ class TestAlternativeDistribution:
         with pytest.raises(BudgetExceededError):
             alternative_distribution(m, n, 1, 1, 2.0)
 
+    @pytest.mark.parametrize(
+        "m,n,r,s,t_max",
+        [(100, 100, 1, 10, 5), (100, 100, 10, 1, 5), (60, 80, 3, 2, 7), (40, 40, 2, 4, 3),
+         (30, 30, 2, 2, None)],
+    )
+    def test_budget_counts_the_sum_and_link_entries_formed(self, m, n, r, s, t_max, monkeypatch):
+        formed = {"sums": 0, "links": 0}
+
+        def counting_accumulate(values, func=None, *, initial=None):
+            out = list(itertools.accumulate(values, func, initial=initial))
+            if func is lehmann._log_add:  # one row of S
+                formed["sums"] += len(out)
+            return out
+
+        def counting_cross(rows_p, rows_e, link, cells, length, add):
+            formed["links"] = sum(len(link(n1, 0, length + 1)) for n1 in range(length + 1))
+            return null_dist._cross(rows_p, rows_e, link, cells, length, add)
+
+        monkeypatch.setattr(lehmann, "accumulate", counting_accumulate)
+        monkeypatch.setattr(lehmann, "_cross", counting_cross)
+        alternative_distribution(m, n, r, s, 2.0, t_max)
+        top = m if t_max is None else t_max
+        cap = min(m, max(r, s) * top)
+        assert formed == {
+            "sums": lehmann._band(cap, cap, s * top),
+            "links": lehmann._band(cap, r * top, s * top),
+        }
+
+    @pytest.mark.parametrize(
+        "shape,steps",
+        [
+            # full laws count every (n1, t) entry; the largest accepted at
+            # n = m, gamma = 2 are 1996, 774 and 363 at r = s = 1, 2 and 10
+            ((100, 100, 1, 10, 100), 1_964_918),
+            ((1996, 1996, 1, 1, 1996), 99_923_745),
+            ((1997, 1999, 1, 1, 1997), 100_055_796),
+            ((774, 774, 2, 2, 774), 99_744_789),
+            ((775, 775, 2, 2, 775), 100_102_606),
+            ((363, 363, 10, 10, 363), 99_461_806),
+            ((364, 364, 10, 10, 364), 100_208_713),
+            # 291 of the 1 326 link entries, rows n1 <= r t_max, are formed
+            ((100, 100, 1, 10, 5), 196_611),
+        ],
+    )
+    def test_step_counts(self, shape, steps):
+        assert lehmann._steps(*shape) == steps
+
     def test_memory_stays_below_two_link_tables(self):
         # the link table, (m + 1)(m + 2) / 2 floats of about 32 B with their
         # list slots, is the one O(m^2) table the cross step reads; no
@@ -165,10 +212,7 @@ class TestAlternativeDistribution:
 
     def test_bad_pmf_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="sums to"):
-            AlternativeDistribution(
-                m=1, n=2, r=1, s=1, gamma=2.0, pmf_values=(0.5, 0.6),
-                condition_estimate=1.0,
-            )
+            AlternativeDistribution(m=1, n=2, r=1, s=1, gamma=2.0, pmf_values=(0.5, 0.6))
         assert not issubclass(NumericalError, ParameterError)
 
     def test_direction_matches_monte_carlo_at_extreme_gamma(self):
@@ -372,10 +416,10 @@ class TestTruncatedLaw:
             alternative_distribution(20, 20, 2, 2, 2.0, -1)
 
     def test_truncated_record_checks_only_excess_mass(self):
-        record = AlternativeDistribution(5, 5, 1, 1, 2.0, (0.25, 0.25), 1.0, complete=False)
+        record = AlternativeDistribution(5, 5, 1, 1, 2.0, (0.25, 0.25), complete=False)
         assert record.cdf(1) == 0.5
         with pytest.raises(NumericalError, match="sums to 1.5"):
-            AlternativeDistribution(5, 5, 1, 1, 2.0, (0.75, 0.75), 1.0, complete=False)
+            AlternativeDistribution(5, 5, 1, 1, 2.0, (0.75, 0.75), complete=False)
 
     def test_exact_power_agrees_with_the_full_law(self, monkeypatch):
         """A 40-entry sample of the exact_power_grid benchmark pool:

@@ -60,25 +60,23 @@ CASES = {
          "outcome": "randomized", "rejected": True},
     ),
     "AlternativeDistribution": (
-        AlternativeDistribution, (1, 2, 1, 1, 2.0, (0.25, 0.75), 1.0),
+        AlternativeDistribution, (1, 2, 1, 1, 2.0, (0.25, 0.75)),
+        {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.75)},
         {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.75),
-         "condition_estimate": 1.0},
-        {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.75),
-         "condition_estimate": 1.0, "complete": True, "cdf_values": (0.25, 1.0)},
+         "complete": True, "cdf_values": (0.25, 1.0)},
     ),
     "AlternativeDistribution-truncated": (
-        AlternativeDistribution, (9, 9, 1, 1, 2.0, (0.25, 0.5), 1.0, False),
+        AlternativeDistribution, (9, 9, 1, 1, 2.0, (0.25, 0.5), False),
         {"m": 9, "n": 9, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.5),
-         "condition_estimate": 1.0, "complete": False},
+         "complete": False},
         {"m": 9, "n": 9, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.25, 0.5),
-         "condition_estimate": 1.0, "complete": False, "cdf_values": (0.25, 0.75)},
+         "complete": False, "cdf_values": (0.25, 0.75)},
     ),
     "AlternativeDistribution-clamped": (
-        AlternativeDistribution, (1, 2, 1, 1, 2.0, (-1e-12, 1.0 + 1e-12), 3.0),
-        {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (-1e-12, 1.0 + 1e-12),
-         "condition_estimate": 3.0},
+        AlternativeDistribution, (1, 2, 1, 1, 2.0, (-1e-12, 1.0 + 1e-12)),
+        {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (-1e-12, 1.0 + 1e-12)},
         {"m": 1, "n": 2, "r": 1, "s": 1, "gamma": 2.0, "pmf_values": (0.0, 1.0),
-         "condition_estimate": 3.0, "complete": True, "cdf_values": (0.0, 1.0)},
+         "complete": True, "cdf_values": (0.0, 1.0)},
     ),
 }
 
@@ -106,7 +104,7 @@ def test_construction_equality_and_immutability(case):
         (AlternativeSpec, ("lehmann", 2.0), {}, {"varied": "training"}),
         (NullDistribution, (1, 2, 1, 1, (Fraction(1, 3), Fraction(2, 3))), {},
          {"complete": False}),
-        (AlternativeDistribution, (1, 2, 1, 1, 2.0, (0.25, 0.75), 1.0), {},
+        (AlternativeDistribution, (1, 2, 1, 1, 2.0, (0.25, 0.75)), {},
          {"complete": False}),
     ],
 )
@@ -125,7 +123,7 @@ def test_laws_keep_their_lookups():
     assert (null.cdf(-1), null.cdf(0), null.cdf(5), null.tail(1)) == (
         0, Fraction(1, 3), 1, Fraction(2, 3))
     assert list(null.support) == [0, 1]
-    alt = AlternativeDistribution(1, 2, 1, 1, 2.0, (0.25, 0.75), 1.0)
+    alt = AlternativeDistribution(1, 2, 1, 1, 2.0, (0.25, 0.75))
     assert (alt.cdf(-1), alt.cdf(0), alt.cdf(7), alt.tail(1), alt.pmf(3)) == (
         0.0, 0.25, 1.0, 0.75, 0.0)
 
@@ -165,10 +163,10 @@ def test_laws_keep_their_lookups():
          "exponential alternative needs positive rate, got inf"),
         (lambda: AlternativeSpec("weibull", shape=2.0, scale=-1.0), ParameterError,
          "weibull alternative needs positive scale, got -1.0"),
-        (lambda: AlternativeDistribution(1, 2, 1, 1, 2.0, (0.5, 1.5), 2.0), NumericalError,
-         "pmf entries escaped [0, 1] beyond numerical slack; condition estimate was 2"),
-        (lambda: AlternativeDistribution(1, 2, 1, 1, 2.0, (0.5, 0.6), 1.0), NumericalError,
-         "pmf sums to 1.1, outside 1 +/- 1e-06; condition estimate was 1"),
+        (lambda: AlternativeDistribution(1, 2, 1, 1, 2.0, (0.5, 1.5)), NumericalError,
+         "pmf entries escaped [0, 1] beyond numerical slack"),
+        (lambda: AlternativeDistribution(1, 2, 1, 1, 2.0, (0.5, 0.6)), NumericalError,
+         "pmf sums to 1.1, outside 1 +/- 1e-06"),
     ],
 )
 def test_construction_errors(build, error, message):
