@@ -14,6 +14,7 @@ import io
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -191,22 +192,31 @@ def _json_default(value):
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([int(tok) for tok in text.split(",") if tok.strip()])
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([float(tok) for tok in text.split(",") if tok.strip()])
+
+
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _resolve_orders(args, n: int) -> tuple[int, int]:
+    rates = args.rho1 is not None or args.rho2 is not None
     if args.r is not None or args.s is not None:
+        if rates:
+            raise ParameterError("give --r/--s or --rho1/--rho2, not both")
         if args.r is None or args.s is None:
             raise ParameterError("give both --r and --s, or rates instead")
         return args.r, args.s
-    if args.rho1 is not None or args.rho2 is not None:
+    if rates:
         if args.rho1 is None or args.rho2 is None:
             raise ParameterError("give both --rho1 and --rho2")
         return orders_from_rates(n, args.rho1, args.rho2)
@@ -299,24 +309,29 @@ def cmd_null_dist(args) -> int:
 
 
 def cmd_critical_values(args) -> int:
-    rows = []
     if args.rho is not None:
-        grid = [
-            (m, n, rho) for m in args.m for n in args.n for rho in args.rho
-        ]
-        for m, n, rho in grid:
-            r, s = orders_from_rates(n, rho, rho)
-            crit = critical_value(m, n, r, s, args.alpha)
-            rows.append(_critical_row(m, n, rho, r, s, crit))
+        if args.r is not None or args.s is not None:
+            raise ParameterError("give --rho or --r and --s lists, not both")
+        orders = [(rho, None, None) for rho in args.rho]
+    elif args.r is None or args.s is None:
+        raise ParameterError("give --rho or both --r and --s lists")
     else:
-        if args.r is None or args.s is None:
-            raise ParameterError("give --rho or both --r and --s lists")
-        for m in args.m:
-            for n in args.n:
-                for r in args.r:
-                    for s in args.s:
-                        crit = critical_value(m, n, r, s, args.alpha)
-                        rows.append(_critical_row(m, n, None, r, s, crit))
+        orders = [(None, r, s) for r in args.r for s in args.s]
+    rows = []
+    for m, n, (rho, r, s) in product(args.m, args.n, orders):
+        if rho is not None:
+            r, s = orders_from_rates(n, rho, rho)
+        crit = critical_value(m, n, r, s, args.alpha)
+        rows.append({
+            "m": m,
+            "n": n,
+            "rho": None if rho is None else f"{rho:g}",
+            "r": r,
+            "s": s,
+            "c": crit.c,
+            "alpha1": f"{float(crit.alpha1):.4f}",
+            "alpha2": f"{float(crit.alpha2):.4f}",
+        })
     config = {
         "subcommand": "critical-values",
         "m": args.m,
@@ -330,33 +345,15 @@ def cmd_critical_values(args) -> int:
     return EXIT_OK
 
 
-def _critical_row(m, n, rho, r, s, crit) -> dict:
-    return {
-        "m": m,
-        "n": n,
-        "rho": None if rho is None else f"{rho:g}",
-        "r": r,
-        "s": s,
-        "c": crit.c,
-        "alpha1": f"{float(crit.alpha1):.4f}",
-        "alpha2": f"{float(crit.alpha2):.4f}",
-    }
-
-
 def _alternative_grid(args) -> list[AlternativeSpec]:
-    if args.alternative == "lehmann":
-        if not args.gamma:
-            raise ParameterError("lehmann alternative needs --gamma values")
-        return [AlternativeSpec.lehmann(g) for g in args.gamma]
-    if args.alternative == "exponential":
-        if not args.rate:
-            raise ParameterError("exponential alternative needs --rate values")
-        return [AlternativeSpec.exponential(lam) for lam in args.rate]
-    if args.alternative == "weibull":
-        if not args.scale or args.shape is None:
-            raise ParameterError("weibull alternative needs --shape and --scale values")
-        return [AlternativeSpec.weibull(args.shape, eta) for eta in args.scale]
-    raise ParameterError(f"unknown alternative {args.alternative!r}")
+    kind, names = args.alternative, AlternativeSpec.KINDS[args.alternative]
+    *fixed, varied = names
+    values = getattr(args, varied)
+    if not values or any(getattr(args, name) is None for name in fixed):
+        options = " and ".join(f"--{name}" for name in names)
+        raise ParameterError(f"{kind} alternative needs {options} values")
+    params = {name: getattr(args, name) for name in fixed}
+    return [AlternativeSpec(kind, **params, **{varied: v}) for v in values]
 
 
 def _order_pairs(args) -> list[tuple[int, int]]:
@@ -462,11 +459,7 @@ def _add_power_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--r", type=_int_list, help="comma list, zipped with --s")
     parser.add_argument("--s", type=_int_list, help="comma list, zipped with --r")
-    parser.add_argument(
-        "--alternative",
-        choices=("lehmann", "exponential", "weibull"),
-        default="lehmann",
-    )
+    parser.add_argument("--alternative", choices=tuple(AlternativeSpec.KINDS), default="lehmann")
     parser.add_argument("--gamma", type=_float_list, help="Lehmann exponents")
     parser.add_argument("--rate", type=_float_list, help="exponential rates")
     parser.add_argument("--shape", type=float, help="Weibull shape (fixed)")

@@ -3,8 +3,8 @@
 The Monte-Carlo engine is built on numpy's counter-based Philox generator
 (imported on first use, so the exact paths never load numpy): a (seed,
 stream) pair plus a purpose/block counter prefix fully determines every
-draw. Each block reduces to an integer histogram; blocks run on one thread
-per available CPU (inline on one) and their histograms are summed, so
+draw. Each block reduces to an integer histogram; each call runs its blocks
+on a pool of one thread per available CPU and sums their histograms, so
 results are bit-identical across runs and do not depend on the CPU count.
 
 Blocks draw in rank space. T, V and Q read only the pooled order of the two
@@ -22,7 +22,6 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
@@ -105,6 +104,8 @@ class AlternativeSpec(
     """
 
     __slots__ = ()
+    # each kind's parameters, the varied one last
+    KINDS = {"lehmann": ("gamma",), "exponential": ("rate",), "weibull": ("shape", "scale")}
 
     def __new__(
         cls,
@@ -116,16 +117,11 @@ class AlternativeSpec(
         varied: str = "test",
     ) -> "AlternativeSpec":
         self = super().__new__(cls, kind, gamma, rate, shape, scale, varied)
-        if kind not in ("lehmann", "exponential", "weibull"):
+        if kind not in cls.KINDS:
             raise ParameterError(f"unknown alternative kind {kind!r}")
         if varied not in ("test", "training"):
             raise ParameterError("varied group must be 'test' or 'training'")
-        required = {
-            "lehmann": ("gamma",),
-            "exponential": ("rate",),
-            "weibull": ("shape", "scale"),
-        }[kind]
-        for name in required:
+        for name in cls.KINDS[kind]:
             value = getattr(self, name)
             if value is None or not (value > 0 and math.isfinite(value)):
                 raise ParameterError(
@@ -147,18 +143,11 @@ class AlternativeSpec(
 
     @property
     def varied_value(self) -> float:
-        return {
-            "lehmann": self.gamma,
-            "exponential": self.rate,
-            "weibull": self.scale,
-        }[self.kind]
+        return getattr(self, self.KINDS[self.kind][-1])
 
     def describe(self) -> str:
-        if self.kind == "lehmann":
-            return f"lehmann(gamma={self.gamma:g})"
-        if self.kind == "exponential":
-            return f"exponential(rate={self.rate:g})"
-        return f"weibull(shape={self.shape:g}, scale={self.scale:g})"
+        params = (f"{name}={getattr(self, name):g}" for name in self.KINDS[self.kind])
+        return f"{self.kind}({', '.join(params)})"
 
 
 class CriticalValue(NamedTuple):
@@ -425,29 +414,25 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=1)
-def _executor(pid: int):
-    """The block pool, made on first use in each process: forks inherit no threads."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(_worker_count(), thread_name_prefix="maxpe-mc")
-
-
 def _histograms(rng: SeededRng, cell: tuple, runs: list) -> list[np.ndarray]:
     """Summed block histograms of each (purpose, alt, reps) run.
 
-    All blocks are mapped over one thread per available CPU (inline on one).
-    Each block owns its counter cell and the sums are of integers, so the
-    result is the same for any worker count.
+    The blocks are mapped over a pool of one thread per available CPU, at
+    most one per block, that lives for this call only. Each block owns its
+    counter cell and the sums are of integers, so the result is the same for
+    any worker count. When a block raises, or the wait is interrupted, the
+    map cancels the blocks that have not started.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     jobs = [
         _Job(purpose, rng.generator(purpose, block), min(_BLOCK, reps - lo), alt, cell)
         for purpose, alt, reps in runs
         for block, lo in enumerate(range(0, reps, _BLOCK))
     ]
-    inline = _worker_count() == 1 or len(jobs) == 1
-    mapper = map if inline else _executor(os.getpid()).map
-    histograms = list(mapper(_block_histogram, jobs))
+    workers = min(_worker_count(), len(jobs))
+    with ThreadPoolExecutor(workers, thread_name_prefix="maxpe-mc") as pool:
+        histograms = list(pool.map(_block_histogram, jobs))
     return [
         sum(h for job, h in zip(jobs, histograms) if job.purpose == purpose)
         for purpose, _, _ in runs

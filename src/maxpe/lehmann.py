@@ -81,10 +81,12 @@ class AlternativeDistribution(
         cls, m: int, n: int, r: int, s: int, gamma: float, pmf_values: Sequence[float],
         complete: bool = True,
     ) -> "AlternativeDistribution":
-        if any(p < -_PMF_SLACK or p > 1 + _PMF_SLACK for p in pmf_values):
+        # written as not (lo <= x <= hi), so that a NaN fails
+        if not all(-_PMF_SLACK <= p <= 1 + _PMF_SLACK for p in pmf_values):
             raise NumericalError("pmf entries escaped [0, 1] beyond numerical slack")
         total = math.fsum(pmf_values)
-        if abs(total - 1.0) > _NORMALIZATION_SLACK and (complete or total > 1.0):
+        lo = 1.0 - _NORMALIZATION_SLACK if complete else -math.inf
+        if not lo <= total <= 1.0 + _NORMALIZATION_SLACK:
             raise NumericalError(
                 f"pmf sums to {total!r}, outside 1 +/- {_NORMALIZATION_SLACK}"
             )
@@ -100,6 +102,8 @@ def _validate(m: int, n: int, r: int, s: int, gamma: float) -> None:
     _validate_params(m, n, r, s)
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ParameterError(f"gamma must be a positive real, got {gamma}")
+    if not math.isfinite(m + gamma * n):
+        raise NumericalError(f"gamma = {gamma} overflows the Beta arguments m + gamma n")
 
 
 def _precedence_logs(gamma: float) -> _CellLogs:
@@ -120,9 +124,11 @@ def _precedence_logs(gamma: float) -> _CellLogs:
 def _exceedance_logs(m: int, n: int, gamma: float) -> _CellLogs:
     """The same for exceedance cells, placed from the last one back: the
     k-th placed has Beta factor B(c - t - v, v + 1), c = m + gamma (n - k),
-    so f(k, t) = ln G(c + 1) / G(c + 1 - t) = lgamma(t) - log_beta(c + 1 - t, t)."""
+    so f(k, t) = ln G(c + 1) / G(c + 1 - t) = lgamma(t) - log_beta(c + 1 - t, t).
+    c + 1 - t is summed as (m + 1 - t) + gamma (n - k), which at t = m + 1
+    keeps a tiny gamma (n - k) whole."""
     def logs(k: int, t: int) -> float:
-        return math.lgamma(t) - log_beta(m + gamma * (n - k) + 1 - t, t) if t else 0.0
+        return math.lgamma(t) - log_beta((m + 1 - t) + gamma * (n - k), t) if t else 0.0
 
     return logs
 

@@ -331,6 +331,36 @@ def test_options_nothing_reads_exit_2(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-values", "--m=", "--n", "10", "--r", "1", "--s", "1"],
+        ["power", "--m", "10", "--n", "10", "--r=", "--s=", "--gamma", "2", "--method", "exact"],
+        ["power", "--m", "10", "--n", "10", "--r", "1", "--s", "1", "--gamma", ","],
+    ],
+    ids=["critical-values-m", "power-exact-r-s", "power-gamma"],
+)
+def test_empty_list_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "needs at least one value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-values", "--m", "10", "--n", "10", "--rho", "0.05", "--r", "3", "--s", "3"],
+        ["test", "--training", "{data}/type1.txt", "--test", "{data}/type2.txt",
+         "--r", "1", "--s", "1", "--rho1", ".5", "--rho2", ".5"],
+    ],
+    ids=["critical-values", "test"],
+)
+def test_orders_and_rates_together_exit_3(argv, data_dir, capsys):
+    assert main([arg.format(data=data_dir) for arg in argv]) == 3
+    assert "not both" in capsys.readouterr().err
+
+
 class TestPowerCommand:
     def test_exact_lehmann_grid(self, tmp_path):
         out = tmp_path / "power.csv"
@@ -428,8 +458,29 @@ class TestPowerCommand:
         assert code == 0
         assert _read_csv(out)[0]["alternative"] == "weibull(shape=2.5, scale=3)"
 
-    def test_missing_grid_exits_3(self):
-        assert main(["power", "--m", "8", "--n", "8", "--r", "1", "--s", "1"]) == 3
+    @pytest.mark.parametrize(
+        "options,needs",
+        [
+            ([], "lehmann alternative needs --gamma values"),
+            (["--alternative", "exponential"], "exponential alternative needs --rate values"),
+            (["--alternative", "weibull", "--scale", "2"],
+             "weibull alternative needs --shape and --scale values"),
+            (["--alternative", "weibull", "--shape", "2"],
+             "weibull alternative needs --shape and --scale values"),
+        ],
+        ids=["lehmann", "exponential", "weibull-shape", "weibull-scale"],
+    )
+    def test_missing_grid_exits_3(self, options, needs, capsys):
+        assert main(["power", "--m", "8", "--n", "8", "--r", "1", "--s", "1", *options]) == 3
+        assert capsys.readouterr().err == f"parameter error: {needs}\n"
+
+    @pytest.mark.parametrize("gamma,code", [("5e-324", 0), ("1e308", 5)])
+    def test_extreme_exact_gamma_exit_code(self, gamma, code):
+        # 5e-324 once lost gamma (n - k) to cancellation in a Beta argument;
+        # at 1e308, m + gamma n overflows
+        argv = ["power", "--m", "30", "--n", "30", "--r", "10", "--s", "10",
+                "--gamma", gamma, "--method", "exact"]
+        assert main(argv) == code
 
 
 class TestCompareCommand:

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -248,6 +249,18 @@ class TestSamplePair:
         with pytest.raises(ParameterError):
             AlternativeSpec(kind="lognormal")
 
+    @pytest.mark.parametrize(
+        "alt,described,varied",
+        [
+            (AlternativeSpec.lehmann(0.5), "lehmann(gamma=0.5)", 0.5),
+            (AlternativeSpec.exponential(2.0), "exponential(rate=2)", 2.0),
+            (AlternativeSpec.weibull(2.5, 0.75), "weibull(shape=2.5, scale=0.75)", 0.75),
+        ],
+    )
+    def test_description_and_varied_value(self, alt, described, varied):
+        assert alt.describe() == described
+        assert alt.varied_value == varied
+
 
 class TestBlockStatisticsAgainstScalar:
     @pytest.mark.parametrize("statistic", ["T", "V", "Q"])
@@ -346,27 +359,28 @@ class TestMcPower:
         inline = mc_power(*args, **kwargs)
         # more threads than cores, switching often: a lost block would show
         monkeypatch.setattr(inference, "_worker_count", lambda: 3)
-        inference._executor.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             pooled = mc_power(*args, **kwargs)
         finally:
             sys.setswitchinterval(interval)
-            inference._executor.cache_clear()
         assert pooled == inline
 
     def test_forked_child_makes_its_own_pool(self, monkeypatch):
         args = (20, 20, 1, 1, 0.05, AlternativeSpec.lehmann(2.0), "T")
         kwargs = dict(reps=20_000, rng=SeededRng(23))
         monkeypatch.setattr(inference, "_worker_count", lambda: 2)
-        expected = mc_power(*args, **kwargs)  # the parent now holds a pool
-        try:
-            with multiprocessing.get_context("fork").Pool(1) as pool:
-                result = pool.apply_async(mc_power, args, kwargs).get(timeout=60)
-        finally:
-            inference._executor.cache_clear()
+        expected = mc_power(*args, **kwargs)  # the parent has run a pool
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            result = pool.apply_async(mc_power, args, kwargs).get(timeout=60)
         assert result == expected
+
+    def test_pool_threads_end_with_the_call(self, monkeypatch):
+        monkeypatch.setattr(inference, "_worker_count", lambda: 2)
+        mc_power(12, 12, 1, 1, 0.05, AlternativeSpec.lehmann(2.0), "T",
+                 reps=3 * inference._BLOCK, rng=SeededRng(5))
+        assert not [t for t in threading.enumerate() if t.name.startswith("maxpe-mc")]
 
     def test_import_starts_no_pool(self):
         script = (

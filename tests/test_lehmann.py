@@ -213,7 +213,17 @@ class TestAlternativeDistribution:
     def test_bad_pmf_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="sums to"):
             AlternativeDistribution(m=1, n=2, r=1, s=1, gamma=2.0, pmf_values=(0.5, 0.6))
+        with pytest.raises(NumericalError, match="escaped"):
+            AlternativeDistribution(2, 3, 1, 1, 2.0, (math.nan,) * 3)
         assert not issubclass(NumericalError, ParameterError)
+
+    @pytest.mark.parametrize("m,n,r,s", [(10, 10, 1, 1), (20, 20, 3, 3)])
+    def test_overflowing_gamma_is_a_numerical_error(self, m, n, r, s):
+        # once eleven NaNs clamped to zeros at (10, 10, 1, 1), and exact_power 1.0
+        with pytest.raises(NumericalError, match="overflows"):
+            alternative_distribution(m, n, r, s, 1e308)
+        with pytest.raises(NumericalError, match="overflows"):
+            exact_power(m, n, r, s, 1e308, 0.05)
 
     def test_direction_matches_monte_carlo_at_extreme_gamma(self):
         """gamma = 50 pushes Y toward 1, so X precedes almost surely."""
@@ -307,14 +317,25 @@ def _savage_pmf(m, n, r, s, gamma):
     return savage_oracle.alternative_pmf(m, n, r, s, gamma)
 
 
-# r != s and gamma < 1 among them; C(m + n, n) <= 3432 rank orders each
+# r != s and gamma < 1 among them; C(m + n, n) <= 3432 rank orders each.
+# The tiny gammas are floats, taken exactly: there a Beta argument of the
+# exceedance side is gamma (n - k) alone
 SAVAGE_SHAPES = [
     (5, 6, 2, 2, Fraction(2)),
     (6, 5, 1, 3, Fraction(3)),
     (4, 7, 2, 1, Fraction(1, 2)),
     (7, 7, 2, 3, Fraction(3, 4)),
     (6, 8, 3, 3, Fraction(5, 2)),
+    *[(6, 6, 2, 3, Fraction(gamma)) for gamma in (1e-6, 1e-9, 1e-12, 2**-60)],
 ]
+
+
+def _savage_tolerance(r, s, gamma):
+    """1e-14, or more where (r + s) |ln gamma| is large: the full law sums
+    logs of that size, gamma^(r + s) among its factors, each within a unit
+    in its last place, and then takes exp. The truncated laws and the powers
+    below hold 1e-14 at every shape."""
+    return max(1e-14, (r + s) * abs(math.log(gamma)) * 2**-52)
 
 
 class TestAgainstSavage:
@@ -327,7 +348,7 @@ class TestAgainstSavage:
         assert sum(oracle) == 1
         dist = alternative_distribution(m, n, r, s, float(gamma))
         for p, expected in zip(dist.pmf_values, oracle, strict=True):
-            assert abs(p - expected) <= 1e-14
+            assert abs(p - expected) <= _savage_tolerance(r, s, gamma)
 
     @pytest.mark.parametrize("m,n,r,s,gamma", SAVAGE_SHAPES)
     def test_truncated_pmf(self, m, n, r, s, gamma):
