@@ -24,10 +24,11 @@ from .inference import (
     AlternativeSpec,
     PowerEstimate,
     SeededRng,
+    _validate_statistic,
     critical_value,
+    mc_power,
     power_row,
     randomized_decision,
-    table_experiment,
 )
 from .null_dist import null_distribution
 from .statistics import Sample, orders_from_rates, statistic_bundle
@@ -173,16 +174,20 @@ def _emit(args, header: Sequence[str], rows: list[dict], config: dict) -> None:
         payload = {"config": config, "results": rows}
         text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(key)) for key in header])
-        text = buffer.getvalue()
+        text = _csv_text(header, rows)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_text(header: Sequence[str], rows: list[dict]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_format_cell(row.get(key)) for key in header])
+    return buffer.getvalue()
 
 
 def _json_default(value):
@@ -347,6 +352,12 @@ def cmd_critical_values(args) -> int:
 
 def _alternative_grid(args) -> list[AlternativeSpec]:
     kind, names = args.alternative, AlternativeSpec.KINDS[args.alternative]
+    stray = [
+        f"--{name}" for other in AlternativeSpec.KINDS.values() for name in other
+        if name not in names and getattr(args, name) is not None
+    ]
+    if stray:
+        raise ParameterError(f"{kind} alternative takes no {' or '.join(stray)}")
     *fixed, varied = names
     values = getattr(args, varied)
     if not values or any(getattr(args, name) is None for name in fixed):
@@ -365,36 +376,34 @@ def _order_pairs(args) -> list[tuple[int, int]]:
 
 
 def _power_rows(args, statistics: list[str]) -> list[dict]:
+    m, n, alpha = args.m, args.n, args.alpha
     pairs = _order_pairs(args)
     alternatives = _alternative_grid(args)
-    if args.method == "exact":
+    exact = args.method == "exact"
+    if exact:
         if statistics != ["T"]:
             raise ParameterError("exact power is available for the T statistic only")
-        if any(alt.kind != "lehmann" for alt in alternatives):
+        if args.alternative != "lehmann":
             raise ParameterError(
                 "exact power is available under the Lehmann alternative only"
             )
         from .lehmann import exact_power  # loaded only here
-
-        rows = []
-        for r, s in pairs:
-            # exact_power refuses an over-budget Lehmann law before the null table
-            powers = [
-                exact_power(args.m, args.n, r, s, alt.gamma, args.alpha)
-                for alt in alternatives
-            ]
-            crit = critical_value(args.m, args.n, r, s, args.alpha)
-            for alt, power in zip(alternatives, powers):
-                exact = PowerEstimate(power, None, crit.c, float(crit.alpha1), float(crit.alpha2))
-                rows.append(power_row(args.m, args.n, r, s, "T", alt, args.alpha, exact))
-        return rows
-    cells = [
-        {"m": args.m, "n": args.n, "r": r, "s": s, "alt": alt, "statistic": stat}
-        for stat in statistics
-        for (r, s) in pairs
-        for alt in alternatives
-    ]
-    return table_experiment(cells, reps=args.reps, seed=args.seed, alpha=args.alpha)
+    if not statistics:
+        raise ParameterError("--statistics names none of T, V, Q")
+    for stat, (r, s) in product(statistics, pairs):  # the whole grid, before any cell runs
+        _validate_statistic(m, n, r, s, stat)
+    rows = []
+    for index, (stat, (r, s), alt) in enumerate(product(statistics, pairs, alternatives)):
+        if exact:  # exact_power refuses an over-budget Lehmann law before the null table
+            power = exact_power(m, n, r, s, alt.gamma, alpha)
+            crit = critical_value(m, n, r, s, alpha)
+            estimate = PowerEstimate(power, None, crit.c, float(crit.alpha1), float(crit.alpha2))
+        else:
+            estimate = mc_power(
+                m, n, r, s, alpha, alt, stat, args.reps, SeededRng(args.seed, stream=index)
+            )
+        rows.append(power_row(m, n, r, s, stat, alt, alpha, estimate))
+    return rows
 
 
 def _write_curves(args, rows: list[dict]) -> None:
@@ -405,20 +414,12 @@ def _write_curves(args, rows: list[dict]) -> None:
         groups.setdefault((row["statistic"], row["r"], row["s"]), []).append(row)
     for (stat, r, s), group in sorted(groups.items()):
         path = directory / f"curve_{stat}_r{r}_s{s}.csv"
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["param", "power"])
-        for row in group:
-            writer.writerow([_format_cell(row["param"]), _format_cell(row["power"])])
-        path.write_text(buffer.getvalue())
+        path.write_text(_csv_text(["param", "power"], group))
 
 
 def cmd_power(args) -> int:
     """`power` (statistics fixed to T) and `compare` over one grid."""
     statistics = [tok.strip().upper() for tok in args.statistics.split(",") if tok.strip()]
-    for stat in statistics:
-        if stat not in ("T", "V", "Q"):
-            raise ParameterError(f"unknown statistic {stat!r}; choose from T, V, Q")
     rows = _power_rows(args, statistics)
     if args.curve_dir:
         _write_curves(args, rows)

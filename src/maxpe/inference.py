@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
-from .null_dist import _validate_params, null_distribution
-from .statistics import Sample
+from .null_dist import null_distribution
+from .statistics import Sample, _validate_params
 
 if TYPE_CHECKING:
     import numpy as np
@@ -222,6 +222,12 @@ def _one_like(value: Number) -> Number:
     return Fraction(1) if isinstance(value, Fraction) else 1.0
 
 
+def _phi(alpha: Number, alpha1: Number, alpha2: Number) -> Number:
+    """The randomization weight at c - 1, (alpha - alpha1) / (alpha2 - alpha1),
+    or 0 in alpha1's number type when no mass sits at c - 1."""
+    return (alpha - alpha1) / (alpha2 - alpha1) if alpha2 > alpha1 else alpha1 * 0
+
+
 def randomized_decision(
     t_observed: int,
     c: int,
@@ -244,7 +250,7 @@ def randomized_decision(
         phi: Number = _one_like(alpha1)
         return RandomizedDecision(t_observed, c, alpha1, alpha2, phi, "reject", True)
     if t_observed == c - 1 and alpha2 > alpha1:
-        phi = (alpha - alpha1) / (alpha2 - alpha1)
+        phi = _phi(alpha, alpha1, alpha2)
         generator = (rng if rng is not None else SeededRng(0)).generator(
             purpose=_PURPOSE_DECISION
         )
@@ -484,10 +490,8 @@ def mc_power(
         counts, null_counts = _histograms(rng, (m, n, r, s, statistic), runs)
         crit = _mc_critical_value(null_counts, null_reps, alpha)
     c, alpha1, alpha2 = crit.c, float(crit.alpha1), float(crit.alpha2)
-    ratio = (alpha - alpha1) / (alpha2 - alpha1) if alpha2 > alpha1 else 0.0
-
     n_ge, n_eq = int(counts[c:].sum()), int(counts[c - 1])  # c >= 1 as alpha < 1
-    power = (n_ge + ratio * n_eq) / reps
+    power = (n_ge + _phi(alpha, alpha1, alpha2) * n_eq) / reps
     std_error = math.sqrt(max(power * (1.0 - power), 0.0) / reps)
     return PowerEstimate(power, std_error, c, alpha1, alpha2)
 
@@ -501,8 +505,9 @@ def table_experiment(
     """Run mc_power over a grid of cells, one derived stream per cell.
 
     Each cell is a mapping with keys m, n, r, s, alt (AlternativeSpec) and
-    optionally statistic (default "T") and alpha. Rows come back in grid
-    order and are fully determined by (cells, reps, seed).
+    optionally statistic (default "T"); every cell runs at level alpha. Rows
+    come back in grid order and are fully determined by (cells, reps, seed,
+    alpha).
     """
     if not cells:
         raise ParameterError("experiment grid must be non-empty")
@@ -510,22 +515,19 @@ def table_experiment(
     for index, cell in enumerate(cells):
         alt: AlternativeSpec = cell["alt"]
         statistic = cell.get("statistic", "T")
-        cell_alpha = cell.get("alpha", alpha)
         estimate = mc_power(
             cell["m"],
             cell["n"],
             cell["r"],
             cell["s"],
-            cell_alpha,
+            alpha,
             alt,
             statistic=statistic,
             reps=reps,
             rng=SeededRng(seed, stream=index),
         )
         rows.append(
-            power_row(
-                cell["m"], cell["n"], cell["r"], cell["s"], statistic, alt, cell_alpha, estimate
-            )
+            power_row(cell["m"], cell["n"], cell["r"], cell["s"], statistic, alt, alpha, estimate)
         )
     return rows
 

@@ -30,9 +30,9 @@ from .combinatorics import log_beta
 from .errors import NumericalError, ParameterError
 from .null_dist import (
     WORK_BUDGET, _check_budget, _cross, _cross_steps, _float_sum, _Law, _series,
-    _triangle, _truncation_top, _validate_params,
+    _triangle, _truncation_top,
 )
-from .statistics import FrequencyVector
+from .statistics import FrequencyVector, _validate_params
 
 __all__ = [
     "AlternativeDistribution",
@@ -444,15 +444,11 @@ def exact_power(m: int, n: int, r: int, s: int, gamma: float, alpha: float) -> f
     if not 0 < alpha < 1:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     _validate(m, n, r, s, gamma)
-    from .inference import critical_value
+    from .inference import _phi, critical_value
 
     _check_budget(_steps(m, n, r, s, m), "Lehmann-law")
     crit = critical_value(m, n, r, s, alpha)
     top = crit.c - 1  # c >= 1: P[T >= 0] = 1 exceeds every alpha
     dist = alternative_distribution(m, n, r, s, gamma, top)
-    reject = 1.0 - dist.cdf(top)
-    alpha1 = float(crit.alpha1)
-    alpha2 = float(crit.alpha2)
-    if alpha2 > alpha1:
-        reject += (alpha - alpha1) / (alpha2 - alpha1) * dist.pmf(top)
-    return min(1.0, max(0.0, reject))
+    phi = _phi(alpha, float(crit.alpha1), float(crit.alpha2))
+    return min(1.0, max(0.0, 1.0 - dist.cdf(top) + phi * dist.pmf(top)))

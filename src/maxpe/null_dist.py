@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .combinatorics import binomial
 from .errors import BudgetExceededError, ParameterError
-from .statistics import FrequencyVector, statistic_bundle
+from .statistics import FrequencyVector, _validate_params, statistic_bundle
 
 __all__ = [
     "NullDistribution",
@@ -122,15 +122,6 @@ class NullDistribution(
 
     def _tail(self, t: int) -> Fraction:
         return self._one - self.cdf(t - 1)
-
-
-def _validate_params(m: int, n: int, r: int, s: int) -> None:
-    if m < 1:
-        raise ParameterError("m must be at least 1")
-    if r < 1 or s < 1:
-        raise ParameterError("r and s must be positive")
-    if r + s > n:
-        raise ParameterError(f"r + s = {r + s} exceeds n = {n}")
 
 
 def joint_frequency_pmf_null(fv: FrequencyVector) -> Fraction:

@@ -67,6 +67,16 @@ def as_sample(data: SampleLike, label: str = "") -> Sample:
     return Sample(tuple(data), label)
 
 
+def _validate_params(m: int, n: int, r: int, s: int) -> None:
+    """The one shape check: m >= 1, r, s >= 1 and r + s <= n."""
+    if m < 1:
+        raise ParameterError("m must be at least 1")
+    if r < 1 or s < 1:
+        raise ParameterError("r and s must be positive")
+    if r + s > n:
+        raise ParameterError(f"r + s = {r + s} exceeds the test-sample size n = {n}")
+
+
 class FrequencyVector(namedtuple("FrequencyVector", "f_p f_e m n r s")):
     """Per-cell counts of X values in the precedence and exceedance cells."""
 
@@ -78,10 +88,7 @@ class FrequencyVector(namedtuple("FrequencyVector", "f_p f_e m n r s")):
         self = super().__new__(
             cls, tuple(int(v) for v in f_p), tuple(int(v) for v in f_e), m, n, r, s
         )
-        if r < 1 or s < 1:
-            raise ParameterError("r and s must be positive")
-        if r + s > n:
-            raise ParameterError(f"r + s = {r + s} exceeds the test-sample size n = {n}")
+        _validate_params(m, n, r, s)
         if len(self.f_p) != r or len(self.f_e) != s:
             raise ParameterError("frequency vector lengths must equal r and s")
         if any(v < 0 for v in self.f_p + self.f_e):
@@ -138,10 +145,7 @@ def frequency_vector(
     xs = sorted(as_sample(x).values)
     ys = sorted(as_sample(y).values)
     m, n = len(xs), len(ys)
-    if r < 1 or s < 1:
-        raise ParameterError("r and s must be positive")
-    if r + s > n:
-        raise ParameterError(f"r + s = {r + s} exceeds the test-sample size n = {n}")
+    _validate_params(m, n, r, s)
 
     # f_p[i-1] = #X in (Y_(i-1), Y_(i)]: successive differences of #{x <= Y_(i)}
     at_or_below = [bisect_right(xs, ys[i]) for i in range(r)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxpe import cli, lehmann
+from maxpe import cli, inference, lehmann
 from maxpe.cli import fraction_to_decimal, main
 from maxpe.errors import NumericalError
 
@@ -474,6 +474,22 @@ class TestPowerCommand:
         assert main(["power", "--m", "8", "--n", "8", "--r", "1", "--s", "1", *options]) == 3
         assert capsys.readouterr().err == f"parameter error: {needs}\n"
 
+    @pytest.mark.parametrize(
+        "options,stray",
+        [
+            (["--gamma", "2", "--rate", "3"], "lehmann alternative takes no --rate"),
+            (["--alternative", "exponential", "--rate", "2", "--shape", "2"],
+             "exponential alternative takes no --shape"),
+            (["--alternative", "weibull", "--shape", "2", "--scale", "2", "--gamma", "2",
+              "--rate", "3"], "weibull alternative takes no --gamma or --rate"),
+        ],
+        ids=["lehmann", "exponential", "weibull"],
+    )
+    def test_other_kinds_options_exit_3(self, options, stray, capsys):
+        argv = ["power", "--m", "10", "--n", "10", "--r", "1", "--s", "1", "--reps", "1000"]
+        assert main([*argv, *options]) == 3
+        assert capsys.readouterr().err == f"parameter error: {stray}\n"
+
     @pytest.mark.parametrize("gamma,code", [("5e-324", 0), ("1e308", 5)])
     def test_extreme_exact_gamma_exit_code(self, gamma, code):
         # 5e-324 once lost gamma (n - k) to cancellation in a Beta argument;
@@ -504,11 +520,30 @@ class TestCompareCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "shape,error",
+        [
+            (["--m", "10", "--n", "12", "--r", "1", "--s", "1"],
+             "the count-sum statistic V requires r == s and m == n"),
+            (["--m", "10", "--n", "10", "--r", "1,6", "--s", "1,6"],
+             "r + s = 12 exceeds the test-sample size n = 10"),
+        ],
+        ids=["V-shape", "later-pair"],
+    )
+    def test_grid_checked_before_any_block(self, shape, error, monkeypatch, capsys):
+        def fail(*args):
+            raise AssertionError("a Monte-Carlo block was drawn")
+
+        monkeypatch.setattr(inference, "_histograms", fail)
+        assert main(["compare", *shape, "--gamma", "2", "--reps", "1000"]) == 3
+        assert capsys.readouterr().err == f"parameter error: {error}\n"
+
 
 def test_power_and_compare_csv_match_pinned_outputs(data_dir, capsys):
-    """`power --method exact` and a seeded `compare` print the CSV recorded
-    before `power` and `compare` shared one command and one row builder."""
+    """`power --method exact` and seeded `power`/`compare` grids under each
+    kind print the stdout recorded before `power` and `compare` shared one
+    command, one row builder and one grid loop."""
     pinned = json.loads((data_dir / "pinned_outputs.json").read_text())["cli"]
     for case in pinned:
         assert main(case["argv"]) == 0
-        assert capsys.readouterr().out == case["csv"]
+        assert capsys.readouterr().out == case["stdout"]
