@@ -24,14 +24,15 @@ from .inference import (
     AlternativeSpec,
     PowerEstimate,
     SeededRng,
+    _validate_run,
     _validate_statistic,
     critical_value,
     mc_power,
     power_row,
     randomized_decision,
 )
-from .null_dist import null_distribution
-from .statistics import Sample, orders_from_rates, statistic_bundle
+from .null_dist import _admit_table, null_distribution
+from .statistics import Sample, _validate_alpha, orders_from_rates, statistic_bundle
 
 __all__ = ["main"]
 
@@ -322,10 +323,16 @@ def cmd_critical_values(args) -> int:
         raise ParameterError("give --rho or both --r and --s lists")
     else:
         orders = [(None, r, s) for r in args.r for s in args.s]
-    rows = []
+    cells = []
     for m, n, (rho, r, s) in product(args.m, args.n, orders):
         if rho is not None:
             r, s = orders_from_rates(n, rho, rho)
+        # critical_value's checks of every cell, before the first table is built
+        _validate_alpha(args.alpha)
+        _admit_table(m, n, r, s)
+        cells.append((m, n, rho, r, s))
+    rows = []
+    for m, n, rho, r, s in cells:
         crit = critical_value(m, n, r, s, args.alpha)
         rows.append({
             "m": m,
@@ -387,14 +394,26 @@ def _power_rows(args, statistics: list[str]) -> list[dict]:
             raise ParameterError(
                 "exact power is available under the Lehmann alternative only"
             )
-        from .lehmann import exact_power  # loaded only here
+        from .lehmann import _admit_power, exact_power  # loaded only here
     if not statistics:
         raise ParameterError("--statistics names none of T, V, Q")
-    for stat, (r, s) in product(statistics, pairs):  # the whole grid, before any cell runs
+    # the whole grid, before any cell runs: every shape, then, in grid order,
+    # what the cells check before their work, each exact law's budget included
+    for stat, (r, s) in product(statistics, pairs):
         _validate_statistic(m, n, r, s, stat)
+    cells = list(product(statistics, pairs, alternatives))
+    if exact:
+        for _, (r, s), alt in cells:
+            _admit_power(m, n, r, s, alt.gamma, alpha)
+    else:
+        SeededRng(args.seed)  # each cell's rng checks the seed before mc_power runs
+        _validate_run(alpha, args.reps)
+        if "T" in statistics:  # T's critical value reads the exact null table
+            for r, s in pairs:
+                _admit_table(m, n, r, s)
     rows = []
-    for index, (stat, (r, s), alt) in enumerate(product(statistics, pairs, alternatives)):
-        if exact:  # exact_power refuses an over-budget Lehmann law before the null table
+    for index, (stat, (r, s), alt) in enumerate(cells):
+        if exact:
             power = exact_power(m, n, r, s, alt.gamma, alpha)
             crit = critical_value(m, n, r, s, alpha)
             estimate = PowerEstimate(power, None, crit.c, float(crit.alpha1), float(crit.alpha2))

@@ -1,11 +1,13 @@
 """Critical values, the randomized decision rule, and Monte-Carlo power.
 
 The Monte-Carlo engine is built on numpy's counter-based Philox generator
-(imported on first use, so the exact paths never load numpy): a (seed,
-stream) pair plus a purpose/block counter prefix fully determines every
-draw. Each block reduces to an integer histogram; each call runs its blocks
-on a pool of one thread per available CPU and sums their histograms, so
-results are bit-identical across runs and do not depend on the CPU count.
+(imported on first use; the randomized decision computes its one draw from
+the same Philox in pure Python, so the exact paths never load numpy): a
+(seed, stream) pair plus a purpose/block counter prefix fully determines
+every draw. Each block reduces to an integer histogram; each call runs its
+blocks on a pool of one thread per available CPU and sums their histograms,
+so results are bit-identical across runs and do not depend on the CPU
+count.
 
 Blocks draw in rank space. T, V and Q read only the pooled order of the two
 groups, and an increasing map applied to both keeps that order, so a block
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
 from .null_dist import null_distribution
-from .statistics import Sample, _validate_params
+from .statistics import Sample, _validate_alpha, _validate_params
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,6 +93,20 @@ class SeededRng(namedtuple("SeededRng", "seed stream")):
             counter=np.array([0, block, purpose, 0], dtype=np.uint64),
         )
         return np.random.Generator(bit_generator)
+
+    def _uniform(self, purpose: int) -> float:
+        """generator(purpose).random(), its first double, without numpy.
+
+        numpy's Philox advances the counter before its first block, so the
+        draw is the first word x0 of Philox4x64-10 (Salmon et al. 2011) keyed
+        (seed, stream) at counter (1, 0, purpose, 0), as (x0 >> 11) 2^-53.
+        """
+        x0, x1, x2, x3, k0, k1 = 1, 0, purpose, 0, self.seed, self.stream
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * x0, 0xCA5A826395121157 * x2
+            x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 % _U64, (p0 >> 64) ^ x3 ^ k1, p0 % _U64
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) % _U64, (k1 + 0xBB67AE8584CAA73B) % _U64
+        return (x0 >> 11) * 2.0**-53
 
 
 class AlternativeSpec(
@@ -197,8 +213,7 @@ def critical_value(
     (at c) and alpha2 (at c - 1); the Monte-Carlo method returns empirical
     estimates and requires at least 10^4 replicates.
     """
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    _validate_alpha(alpha)
     if method == "exact":
         dist = null_distribution(m, n, r, s)
         # P[T >= c] = 1 - cdf(c - 1) <= alpha, compared exactly; cdf(m) = 1
@@ -251,10 +266,7 @@ def randomized_decision(
         return RandomizedDecision(t_observed, c, alpha1, alpha2, phi, "reject", True)
     if t_observed == c - 1 and alpha2 > alpha1:
         phi = _phi(alpha, alpha1, alpha2)
-        generator = (rng if rng is not None else SeededRng(0)).generator(
-            purpose=_PURPOSE_DECISION
-        )
-        u = generator.random()
+        u = (rng if rng is not None else SeededRng(0))._uniform(_PURPOSE_DECISION)
         return RandomizedDecision(
             t_observed, c, alpha1, alpha2, phi, "randomized", bool(u < phi)
         )
@@ -453,6 +465,13 @@ def _mc_critical_value(counts: np.ndarray, reps: int, alpha: float) -> CriticalV
     return CriticalValue(c, tails[c], tails[c - 1])
 
 
+def _validate_run(alpha: float, reps: int) -> None:
+    """mc_power's first checks: the replicate count, then the level."""
+    if reps < _MIN_MC_REPS:
+        raise ParameterError(f"reps must be at least {_MIN_MC_REPS}")
+    _validate_alpha(alpha)
+
+
 def mc_power(
     m: int,
     n: int,
@@ -472,10 +491,7 @@ def mc_power(
     estimate accumulates the expected randomization weight; the standard
     error is the binomial one at the estimated power.
     """
-    if reps < _MIN_MC_REPS:
-        raise ParameterError(f"reps must be at least {_MIN_MC_REPS}")
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    _validate_run(alpha, reps)
     _validate_statistic(m, n, r, s, statistic)
     rng = rng if rng is not None else SeededRng(0)
 

@@ -32,7 +32,7 @@ from .null_dist import (
     WORK_BUDGET, _check_budget, _cross, _cross_steps, _float_sum, _Law, _series,
     _triangle, _truncation_top,
 )
-from .statistics import FrequencyVector, _validate_params
+from .statistics import FrequencyVector, _validate_alpha, _validate_params
 
 __all__ = [
     "AlternativeDistribution",
@@ -436,17 +436,25 @@ def alternative_distribution(
     )
 
 
+def _admit_power(m: int, n: int, r: int, s: int, gamma: float, alpha: float) -> None:
+    """Raise, building nothing, what exact_power(m, n, r, s, gamma, alpha)
+    raises before its work: ParameterError for alpha or the shape,
+    NumericalError for a gamma that overflows, then BudgetExceededError above
+    WORK_BUDGET steps of the full law. At every shape tested that count is
+    above the count of the null table behind c, so an admitted call is not
+    refused later."""
+    _validate_alpha(alpha)
+    _validate(m, n, r, s, gamma)
+    _check_budget(_steps(m, n, r, s, m), "Lehmann-law")
+
+
 def exact_power(m: int, n: int, r: int, s: int, gamma: float, alpha: float) -> float:
     """Rejection probability of the size-alpha randomized test under G = F^gamma,
     (1 - cdf(c - 1)) + phi pmf(c - 1), from the law truncated to t_max = c - 1.
-    The full law's work is counted, and refused above WORK_BUDGET, before the
-    null table behind c is built."""
-    if not 0 < alpha < 1:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    _validate(m, n, r, s, gamma)
+    _admit_power refuses it before the null table behind c is built."""
+    _admit_power(m, n, r, s, gamma, alpha)
     from .inference import _phi, critical_value
 
-    _check_budget(_steps(m, n, r, s, m), "Lehmann-law")
     crit = critical_value(m, n, r, s, alpha)
     top = crit.c - 1  # c >= 1: P[T >= 0] = 1 exceeds every alpha
     dist = alternative_distribution(m, n, r, s, gamma, top)

@@ -243,21 +243,34 @@ def _cross(
     return num
 
 
+def _peaks(cells: _Cells) -> tuple[range, range]:
+    """The largest cells i and j of `cells`, whose side rows _kernel builds."""
+    i_rows = range(min(c[1] for c in cells), max(c[2] for c in cells) + 1)
+    return i_rows, range(cells[0][0], cells[-1][0] + 1)
+
+
+def _kernel_steps(r: int, s: int, length: int, cells: _Cells) -> int:
+    """Steps of _kernel with r- and s-cell side rows up to `length` over
+    `cells`, counted before any: one per side-row entry and per cross
+    multiply-add."""
+    i_rows, j_rows = _peaks(cells)
+    steps = sum(min(r * i, length) - i + 1 for i in i_rows)
+    steps += sum(min(s * j, length) - j + 1 for j in j_rows)
+    return steps + _cross_steps(r, s, length, cells)
+
+
 def _kernel(r: int, s: int, weights: list[int], cells: _Cells) -> list[int]:
     """num[t], the sum of the null cells (i, j) with i + j = t: _cross with
     the side rows W_b[p][k], the ordered b-tuples summing to k with largest
     part p, and the link weights[k1 + k2]; `cells` run over consecutive j
-    upwards. Costs O(t * K^2) steps for i + j <= t, K = len(weights) - 1,
-    counting each side-row entry and cross multiply-add as one; raises
-    BudgetExceededError, before any work, above WORK_BUDGET steps.
+    upwards. Costs O(t * K^2) steps for i + j <= t, K = len(weights) - 1;
+    raises BudgetExceededError, before any work, above WORK_BUDGET
+    _kernel_steps.
     """
     length = len(weights) - 1
-    i_rows = range(min(c[1] for c in cells), max(c[2] for c in cells) + 1)
-    j_rows = range(cells[0][0], cells[-1][0] + 1)
-    steps = sum(min(r * i, length) - i + 1 for i in i_rows)
-    steps += sum(min(s * j, length) - j + 1 for j in j_rows)
-    _check_budget(steps + _cross_steps(r, s, length, cells), "null-kernel")
+    _check_budget(_kernel_steps(r, s, length, cells), "null-kernel")
 
+    i_rows, j_rows = _peaks(cells)
     rows_r = _side_rows(r, i_rows, length)
     rows_s = _side_rows(s, j_rows, length)
     return _cross(
@@ -283,6 +296,14 @@ def joint_PE_pmf(m: int, n: int, r: int, s: int, i: int, j: int) -> Fraction:
     if i + j > m:
         return Fraction(0)
     return _exact_pmf(m, n, r, s, [(j, i, i)])[i + j]
+
+
+def _admit_table(m: int, n: int, r: int, s: int) -> None:
+    """Raise, building nothing, what null_distribution(m, n, r, s) raises
+    before its work: ParameterError for the shape, then BudgetExceededError
+    above WORK_BUDGET kernel steps."""
+    _validate_params(m, n, r, s)
+    _check_budget(_kernel_steps(r, s, m, _triangle(m)), "null-kernel")
 
 
 @lru_cache(maxsize=32)

@@ -77,6 +77,12 @@ def _validate_params(m: int, n: int, r: int, s: int) -> None:
         raise ParameterError(f"r + s = {r + s} exceeds the test-sample size n = {n}")
 
 
+def _validate_alpha(alpha: float) -> None:
+    """The one level check: 0 < alpha < 1."""
+    if not 0 < alpha < 1:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 class FrequencyVector(namedtuple("FrequencyVector", "f_p f_e m n r s")):
     """Per-cell counts of X values in the precedence and exceedance cells."""
 

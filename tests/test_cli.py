@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from maxpe import cli, inference, lehmann
+from maxpe import cli, inference, lehmann, null_dist
 from maxpe.cli import fraction_to_decimal, main
 from maxpe.errors import NumericalError
 
@@ -311,6 +311,21 @@ class TestCriticalValuesCommand:
         assert len(rows) == 1 and rows[0]["c"] == "8"
 
 
+    def test_grid_budget_refused_before_any_table(self, monkeypatch, capsys):
+        # m = 10 fits the budget and m = 13, the second cell, does not
+        steps = {m: null_dist._kernel_steps(3, 3, m, null_dist._triangle(m)) for m in (10, 13)}
+        monkeypatch.setattr(null_dist, "WORK_BUDGET", steps[10])
+
+        def fail(*args):
+            raise AssertionError("a table was built before the grid was admitted")
+
+        monkeypatch.setattr(null_dist, "_exact_pmf", fail)
+        assert main(["critical-values", "--m", "10,13", "--n", "13", "--r", "3", "--s", "3"]) == 4
+        assert capsys.readouterr().err == (
+            f"budget error: {steps[13]} null-kernel steps exceed {steps[10]}\n"
+        )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -426,6 +441,28 @@ class TestPowerCommand:
         assert code == 4
         assert "budget error" in capsys.readouterr().err
         assert time.perf_counter() - start < 1.0  # refused before the null table
+
+    @pytest.mark.parametrize(
+        "options,patched,law,count",
+        [(["--method", "exact"], (lehmann, "alternative_distribution"), "Lehmann-law",
+          lambda r: lehmann._steps(10, 12, r, r, 10)),
+         (["--reps", "1000"], (inference, "_histograms"), "null-kernel",
+          lambda r: null_dist._kernel_steps(r, r, 10, null_dist._triangle(10)))],
+        ids=["exact", "monte-carlo"],
+    )
+    def test_grid_budget_refused_before_any_cell(
+        self, options, patched, law, count, monkeypatch, capsys
+    ):
+        # the (1, 1) law fits the budget and the (3, 3) law, the second cell, does not
+        monkeypatch.setattr(null_dist, "WORK_BUDGET", count(1))
+
+        def fail(*args):
+            raise AssertionError("a cell ran before the grid was admitted")
+
+        monkeypatch.setattr(*patched, fail)
+        argv = ["power", "--m", "10", "--n", "12", "--r", "1,3", "--s", "1,3", "--gamma", "2"]
+        assert main([*argv, *options]) == 4
+        assert capsys.readouterr().err == f"budget error: {count(3)} {law} steps exceed {count(1)}\n"
 
     def test_exact_four_cells_each_side_runs(self, tmp_path):
         out = tmp_path / "power.csv"

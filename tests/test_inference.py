@@ -58,6 +58,15 @@ class TestSeededRng:
         with pytest.raises(ParameterError):
             SeededRng(1, -3)
 
+    def test_pure_python_uniform_equals_numpy_draw(self):
+        rnd = np.random.default_rng(26)
+        keys = list(itertools.product((0, 2**64 - 1), repeat=2))
+        keys += [tuple(map(int, rnd.integers(0, 2**64, 2, dtype=np.uint64))) for _ in range(1000)]
+        for seed, stream in keys:
+            rng = SeededRng(seed, stream)
+            for purpose in (0, 3):
+                assert rng._uniform(purpose) == rng.generator(purpose).random()
+
 
 class TestCriticalValue:
     def test_reference_rows(self):

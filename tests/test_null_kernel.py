@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -150,6 +151,17 @@ def test_budget_admits_the_largest_tables_in_use():
     null_distribution(38, 38, 19, 19)
 
 
+def test_admitted_exact_power_admits_its_null_table():
+    """The Lehmann full-law count exact_power admits by is at least the count
+    of the null table behind its critical value, at seeded shapes."""
+    rnd = random.Random(26)
+    for _ in range(300):
+        m, r, s = rnd.randint(1, 400), rnd.randint(1, 12), rnd.randint(1, 12)
+        n = r + s + rnd.randint(0, m)
+        table = null_dist._kernel_steps(r, s, m, null_dist._triangle(m))
+        assert lehmann._steps(m, n, r, s, m) >= table
+
+
 def test_tables_are_cached_and_bounded():
     first = null_distribution(17, 19, 2, 3)
     assert null_distribution(17, 19, 2, 3) is first
@@ -170,6 +182,11 @@ def test_exact_paths_load_neither_numpy_nor_mpmath(tmp_path, data_dir):
         "assert maxpe.cli.main(['test', '--training', sys.argv[2] + '/type1.txt',"
         " '--test', sys.argv[2] + '/type2.txt', '--r', '3', '--s', '3',"
         " '--out', sys.argv[1] + '/t.csv']) == 0\n"
+        # T lands on c - 1, so the decision draws its uniform
+        "assert maxpe.cli.main(['test', '--training', sys.argv[2] + '/type1.txt',"
+        " '--test', sys.argv[2] + '/type2.txt', '--r', '1', '--s', '1', '--alpha', '0.2',"
+        " '--format', 'csv', '--out', sys.argv[1] + '/u.csv']) == 0\n"
+        "assert 'randomized' in open(sys.argv[1] + '/u.csv').read()\n"
         # the Lehmann law, whose Beta sums run in decimal, at n >> m
         "from maxpe.lehmann import exact_power\n"
         "assert 0 < exact_power(30, 300, 2, 2, 0.5, 0.05) < 1\n"
